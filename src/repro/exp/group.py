@@ -7,7 +7,9 @@ additively).  A :class:`Group` adapter names the three operations the engine
 needs — composition, squaring/doubling and inversion — plus a
 ``cheap_inverse`` flag: on the torus inversion is one (free) Frobenius map and
 on a curve it is a sign flip, which is what makes signed-digit recodings (NAF,
-wNAF) profitable there.
+wNAF) profitable there.  A group may also declare an exact endomorphism
+(``endomorphism(a) == a**endomorphism_exponent``), which the ``split``
+strategy uses to shorten the squaring chain of wide exponents.
 
 Adapters deliberately lazy-import the layers they wrap so that the engine
 package itself has no dependency on any arithmetic layer (the field layer
@@ -16,7 +18,7 @@ imports the engine, not vice versa).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 
 class Group:
@@ -36,6 +38,10 @@ class Group:
     #: cost nothing extra.
     cheap_inverse: bool = False
 
+    #: ``lambda`` of an exact, (nearly) free endomorphism: ``endomorphism(a)
+    #: == a**lambda`` for *every* element, or ``None`` when there is none.
+    endomorphism_exponent: Optional[int] = None
+
     def identity(self) -> Any:
         raise NotImplementedError
 
@@ -47,6 +53,9 @@ class Group:
 
     def inverse(self, a: Any) -> Any:
         raise NotImplementedError(f"{self.name} does not support inversion")
+
+    def endomorphism(self, a: Any) -> Any:
+        raise NotImplementedError(f"{self.name} declares no endomorphism")
 
     def is_identity(self, a: Any) -> bool:
         return a == self.identity()
@@ -165,7 +174,9 @@ class TorusExpGroup(Group):
     """T6(Fp) on :class:`~repro.torus.t6.TorusElement` values.
 
     Inversion is one Frobenius application (``alpha^-1 = alpha^(p^3)``), so
-    ``cheap_inverse`` is set and the engine's auto-selection picks wNAF.
+    ``cheap_inverse`` is set.  The p-power Frobenius itself is the declared
+    endomorphism (``alpha^p`` for every element of Fp6, so of T6 too), which
+    lets the engine's auto-selection split exponents wider than p.
     """
 
     cheap_inverse = True
@@ -177,6 +188,7 @@ class TorusExpGroup(Group):
         self.group = group
         self.fp6 = group.fp6
         self.name = f"T6(p={group.params.p})"
+        self.endomorphism_exponent = group.params.p
 
     def identity(self):
         return self.group.identity()
@@ -192,6 +204,9 @@ class TorusExpGroup(Group):
 
     def inverse(self, a):
         return a.inverse()
+
+    def endomorphism(self, a):
+        return self._TorusElement(self.group, self.fp6.frobenius(a.value, 1))
 
     def is_identity(self, a) -> bool:
         return a.is_identity()

@@ -2,7 +2,7 @@
 
 Each strategy takes a :class:`~repro.exp.group.Group`, a base element and a
 non-negative exponent, optionally records group operations into an
-:class:`~repro.exp.trace.OpTrace`, and returns the power.  The same eight
+:class:`~repro.exp.trace.OpTrace`, and returns the power.  The same
 strategies therefore serve field powers, torus exponentiation, Montgomery/RSA
 exponentiation and ECC scalar multiplication:
 
@@ -10,6 +10,8 @@ exponentiation and ECC scalar multiplication:
 ``binary``         left-to-right square-and-multiply (the paper's strategy)
 ``naf``            signed non-adjacent form, ~n/3 multiplications
 ``wnaf``           width-w NAF with odd-power table, ~n/(w+1) multiplications
+``split``          k = k0 + k1*lambda over the group's endomorphism: two wNAF
+                   strings on one ~bits(lambda) squaring chain
 ``sliding``        sliding window over an odd-power table (no inversions)
 ``window``         fixed 2^w-entry window (the historical windowed variant)
 ``ladder``         Montgomery ladder (regular pattern, side-channel shape)
@@ -20,7 +22,9 @@ exponentiation and ECC scalar multiplication:
 Signed strategies pay one inversion per distinct negative digit value, which
 is free exactly where the paper exploits it (torus Frobenius, point negation);
 :func:`select_strategy` uses the group's ``cheap_inverse`` flag to pick wNAF
-there and the inversion-free sliding window elsewhere.
+there and the inversion-free sliding window elsewhere, and picks ``split``
+for exponents wider than a declared endomorphism's ``lambda`` (the p-power
+Frobenius on the torus).
 """
 
 from __future__ import annotations
@@ -268,6 +272,11 @@ def exp_wnaf(
     digits = wnaf_recoding(exponent, window_bits)
     largest = max((abs(d) for d in digits if d), default=1)
     table = _odd_power_table(square, op, base, largest)
+    return _signed_digit_walk(group, square, op, digits, _signed_lookup(table, inv))
+
+
+def _signed_lookup(table: Dict[int, Any], inv) -> Callable[[int], Any]:
+    """Digit -> table operand; a negative digit inverts its entry once."""
     negatives: Dict[int, Any] = {}
 
     def lookup(digit: int) -> Any:
@@ -279,7 +288,60 @@ def exp_wnaf(
             negatives[-digit] = cached
         return cached
 
-    return _signed_digit_walk(group, square, op, digits, lookup)
+    return lookup
+
+
+@register_strategy("split")
+def exp_split(
+    group: Group,
+    base: Any,
+    exponent: int,
+    trace: Optional[OpTrace] = None,
+    window_bits: Optional[int] = None,
+    **_: Any,
+) -> Any:
+    """Endomorphism split: ``g^k = g^k0 * phi(g)^k1`` with ``k = k0 + k1*lambda``.
+
+    ``phi(g) == g^lambda`` holds for every element, so ``divmod`` is the
+    whole decomposition: no lattice basis, no subgroup assumption.  One
+    odd-power table of ``g`` is built and mapped through ``phi`` for ``k1``'s
+    digits, and both wNAF strings share one squaring chain of
+    ~max(bits(lambda), bits(k1)) steps instead of bits(k); the endomorphism
+    maps are not group operations and are not traced.  Groups without an
+    endomorphism, and exponents no wider than ``lambda``, run the strategy
+    ``auto`` picks for them.
+    """
+    lam = group.endomorphism_exponent
+    if lam is None or exponent.bit_length() <= lam.bit_length():
+        fallback = get_strategy(select_strategy(group, exponent))
+        return fallback(group, base, exponent, trace=trace, window_bits=window_bits)
+    if window_bits is None:
+        # Sized by the full width: the table serves both digit strings.
+        window_bits = max(2, default_window_bits(exponent.bit_length()))
+    check_window_bits(window_bits)
+    square, op, inv = _bound_ops(group, trace)
+    high, low = divmod(exponent, lam)
+    low_digits = wnaf_digits(low, window_bits)
+    high_digits = wnaf_digits(high, window_bits)
+    largest = max(abs(d) for d in low_digits + high_digits)
+    table = _odd_power_table(square, op, base, largest)
+    mapped = {digit: group.endomorphism(power) for digit, power in table.items()}
+    low_lookup = _signed_lookup(table, inv)
+    high_lookup = _signed_lookup(mapped, inv)
+    length = max(len(low_digits), len(high_digits))
+    low_digits += [0] * (length - len(low_digits))
+    high_digits += [0] * (length - len(high_digits))
+    result = None
+    for low_digit, high_digit in zip(reversed(low_digits), reversed(high_digits)):
+        if result is not None:
+            result = square(result)
+        if low_digit:
+            operand = low_lookup(low_digit)
+            result = operand if result is None else op(result, operand)
+        if high_digit:
+            operand = high_lookup(high_digit)
+            result = operand if result is None else op(result, operand)
+    return result
 
 
 @register_strategy("sliding")
@@ -473,8 +535,12 @@ class FixedBaseTable:
 
 
 def select_strategy(group: Group, exponent: int) -> str:
-    """Default strategy choice: binary for tiny exponents, then wNAF where
+    """Default strategy choice: ``split`` for exponents wider than the
+    group's endomorphism exponent, binary for tiny exponents, then wNAF where
     inversion is free and sliding window elsewhere."""
+    lam = group.endomorphism_exponent
+    if lam is not None and exponent.bit_length() > lam.bit_length():
+        return "split"
     if exponent.bit_length() <= 16:
         return "binary"
     return "wnaf" if group.cheap_inverse else "sliding"

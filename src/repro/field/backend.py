@@ -447,6 +447,7 @@ class _BoundOpsExpGroup:
     """
 
     cheap_inverse = False
+    endomorphism_exponent = None
 
     def __init__(self, ops: "FieldOps"):
         self.ops = ops

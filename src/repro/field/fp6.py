@@ -5,7 +5,9 @@ This is the representation the paper performs all torus arithmetic in
 adds the paper's multiplication algorithm: split A = A0 + A1*z^3 into two
 degree-2 halves, use the three-product Karatsuba trick on the halves and a
 six-multiplication Toom-style product for each half product, for a total of
-exactly 18 Fp multiplications plus additions (Section 2.2.2).
+exactly 18 Fp multiplications plus additions (Section 2.2.2).  Over a plain
+prime field it also squares with two of those half products (12M), and in
+every representation the Frobenius is a signed coefficient permutation.
 """
 
 from __future__ import annotations
@@ -18,6 +20,22 @@ from repro.field.fp import PrimeField
 
 #: Little-endian coefficients of z^6 + z^3 + 1.
 FP6_MODULUS = [1, 0, 0, 1, 0, 0, 1]
+
+
+def _signed_permutation(m: int) -> Tuple[Tuple[int, int], ...]:
+    """Output coordinate ``j`` of ``z -> z^m`` as ``coeffs[plus] - coeffs[minus]``.
+
+    Index 6 names a zero padding coordinate.  Input ``i`` lands on z^(i m
+    mod 9); a landing spot t >= 6 is folded as z^t = -z^(t-6) - z^(t-3).
+    """
+    plus, minus = [6] * 6, [6] * 6
+    for i in range(6):
+        t = i * m % 9
+        if t < 6:
+            plus[t] = i
+        else:
+            minus[t - 6] = minus[t - 3] = i
+    return tuple(zip(plus, minus))
 
 
 class Fp6Field(ExtensionField):
@@ -38,6 +56,9 @@ class Fp6Field(ExtensionField):
         # and a resident backend (Montgomery/word-counting) owns the product
         # semantics, so both route through the instrumented mul_paper.
         self._plain_base = type(base) is PrimeField and base.backend.plain
+        self._frobenius_terms = [
+            _signed_permutation(pow(base.p, k, 9)) for k in range(6)
+        ]
 
     # -- paper multiplication ------------------------------------------------
 
@@ -221,10 +242,79 @@ class Fp6Field(ExtensionField):
     # -- squaring -------------------------------------------------------------
 
     def sqr(self, a: ExtElement) -> ExtElement:
-        """Squaring; the paper does not use a dedicated squaring formula."""
+        """Squaring.
+
+        The paper uses no dedicated squaring, so counting and resident
+        fields square with :meth:`mul_paper` and keep its 18M tally.  Over
+        a plain prime field the fast path is a 12M complex squaring.
+        """
         if self._plain_base:
-            return self._mul_fast(a, a)
+            return self._sqr_fast(a)
         return self.mul_paper(a, a)
+
+    def _sqr_fast(self, a: ExtElement) -> ExtElement:
+        """Complex squaring on raw integers: two 6M half products (12M).
+
+        With omega = z^3 (omega^2 = -omega - 1),
+        ``(A0 + A1 omega)^2 = (A0 - A1)(A0 + A1) + A1 (2 A0 - A1) omega``;
+        each product is :meth:`_half_product`'s six-multiplication formula,
+        reduced once per output coordinate as in :meth:`_mul_fast`.
+        """
+        p = self.base.p
+        a0, a1, a2, a3, a4, a5 = a.coeffs
+
+        # C0 = (A0 - A1)(A0 + A1)
+        u0, u1, u2 = a0 - a3, a1 - a4, a2 - a5
+        v0, v1, v2 = a0 + a3, a1 + a4, a2 + a5
+        d0 = u0 * v0
+        d1 = u1 * v1
+        d2 = u2 * v2
+        d01 = d0 + d1
+        c0_1 = d01 - (u0 - u1) * (v0 - v1)
+        c0_2 = d01 + d2 - (u0 - u2) * (v0 - v2)
+        c0_3 = d1 + d2 - (u1 - u2) * (v1 - v2)
+
+        # C1 = A1 (2 A0 - A1)
+        w0, w1, w2 = 2 * a0 - a3, 2 * a1 - a4, 2 * a2 - a5
+        e0 = a3 * w0
+        e1 = a4 * w1
+        e2 = a5 * w2
+        e01 = e0 + e1
+        c1_1 = e01 - (a3 - a4) * (w0 - w1)
+        c1_2 = e01 + e2 - (a3 - a5) * (w0 - w2)
+        c1_3 = e1 + e2 - (a4 - a5) * (w1 - w2)
+
+        # C0 + C1 z^3 has degree 7: fold z^6 = -(1 + z^3), z^7 = -(z + z^4).
+        return ExtElement._raw(
+            self,
+            (
+                (d0 - c1_3) % p,
+                (c0_1 - e2) % p,
+                c0_2 % p,
+                (c0_3 + e0 - c1_3) % p,
+                (d2 + c1_1 - e2) % p,
+                c1_2 % p,
+            ),
+        )
+
+    # -- Frobenius ----------------------------------------------------------------
+
+    def frobenius(self, a: ExtElement, k: int = 1) -> ExtElement:
+        """``a -> a^(p^k)`` as a signed coefficient permutation.
+
+        z is a primitive 9th root of unity, so the map sends z^i to
+        z^(i p^k mod 9); exponents 6..8 fold back through z^6 = -1 - z^3,
+        z^7 = -z - z^4 and z^8 = -z^2 - z^5.  Every output coordinate is one
+        base-field ``sub`` of at most two input coordinates, on any backend.
+        """
+        k %= 6
+        if k == 0:
+            return a
+        sub = self.base.sub
+        coeffs = a.coeffs + (0,)
+        return ExtElement._raw(
+            self, tuple([sub(coeffs[i], coeffs[j]) for i, j in self._frobenius_terms[k]])
+        )
 
     # -- cyclotomic structure --------------------------------------------------
 

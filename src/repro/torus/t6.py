@@ -205,9 +205,12 @@ class T6Group:
     ) -> TorusElement:
         """Exponentiation in the torus through the unified engine.
 
-        The default strategy is wNAF — inversion is a free Frobenius map, so
-        signed digits cost nothing and the multiplication count drops to
-        ~n/(w+1).  Negative exponents use the same cheap inversion.
+        The default strategy is ``split`` for exponents wider than p: write
+        e = e0 + e1*p and walk both wNAF digit strings on one ~bits(p)
+        squaring chain, with the p-power Frobenius supplying ``alpha^p``.
+        Narrower exponents use plain wNAF.  Inversion is a free Frobenius
+        map too, so signed digits cost nothing, and negative exponents use
+        the same cheap inversion.
         """
         return exponentiate(
             self.exp_group(), element, exponent, strategy=strategy, trace=count

@@ -86,3 +86,9 @@ def platform():
 def small_platform():
     """A platform with a small word size for fast cycle-accurate runs."""
     return Platform(PlatformConfig(word_bits=16, num_cores=2))
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a longer end-to-end or large-parameter test"
+    )

@@ -3,9 +3,10 @@
 Covers the strategy registry, cross-strategy/cross-group agreement against a
 naive square-and-multiply reference, the unified OpTrace (and its
 backwards-compatible per-layer subclasses), fixed-base tables, Shamir double
-exponentiation, and the headline cost claims: wNAF uses >= 20% fewer general
-multiplications than binary at 160-bit exponents on both T6 and ECC, and one
-Shamir double exponentiation beats two independent exponentiations.
+exponentiation, the torus's Frobenius split, and the headline cost claims:
+wNAF uses >= 20% fewer general multiplications than binary at 160-bit
+exponents on both T6 and ECC, and one Shamir double exponentiation beats two
+independent exponentiations.
 """
 
 import random
@@ -177,9 +178,80 @@ class TestCrossStrategyAgreement:
     def test_auto_selection(self, toy32_group):
         field_group = FieldExpGroup(PrimeField(10007))
         torus_group = TorusExpGroup(toy32_group)
+        p_bits = toy32_group.params.p.bit_length()
         assert select_strategy(field_group, 7) == "binary"
         assert select_strategy(field_group, 1 << 100) == "sliding"
-        assert select_strategy(torus_group, 1 << 100) == "wnaf"
+        # The torus splits over its Frobenius only when bits(e) > bits(p).
+        assert select_strategy(torus_group, 7) == "binary"
+        assert select_strategy(torus_group, (1 << p_bits) - 1) == "wnaf"
+        assert select_strategy(torus_group, 1 << p_bits) == "split"
+        assert select_strategy(torus_group, 1 << 100) == "split"
+
+
+# ---------------------------------------------------------------------------
+# The Frobenius split: k = k0 + k1*p on one squaring chain.
+# ---------------------------------------------------------------------------
+
+
+def split_exponents(params, rng):
+    p, q = params.p, params.q
+    fixed = [0, 1, p - 1, p, p + 1, 3 * p, q - 1, p * p, p ** 3 + 5]
+    drawn = [rng.randrange(q) for _ in range(4)]
+    return fixed + drawn + [-e for e in (1, p + 1, q - 1, drawn[0])]
+
+
+class TestSplit:
+    @pytest.mark.parametrize("name", ["toy32_group", "ceilidh170_group"])
+    def test_matches_wnaf_and_binary(self, name, request, rng):
+        t6 = request.getfixturevalue(name)
+        group = t6.exp_group()
+        base = t6.random_subgroup_element(rng)
+        for exponent in split_exponents(t6.params, rng):
+            split = exponentiate(group, base, exponent, strategy="split")
+            assert split == exponentiate(group, base, exponent, strategy="wnaf"), exponent
+            assert split == exponentiate(group, base, exponent, strategy="binary"), exponent
+
+    def test_outside_the_order_q_subgroup(self, toy32_group, rng):
+        """The split is an integer identity: it needs no subgroup membership."""
+        group = toy32_group.exp_group()
+        for _ in range(3):
+            base = toy32_group.random_element(rng)
+            outside = toy32_group.exponentiate(base, toy32_group.params.q, "binary")
+            assert not outside.is_identity()
+            for exponent in split_exponents(toy32_group.params, rng):
+                assert exponentiate(group, base, exponent, strategy="split") == (
+                    naive_power(group, base, exponent)
+                ), exponent
+
+    def test_falls_back_to_auto_without_an_endomorphism(self, toy32_group, rng):
+        field_group = FieldExpGroup(PrimeField(10007))
+        exponent = rng.getrandbits(64)
+        split, auto = OpTrace(), OpTrace()
+        assert exponentiate(field_group, 3, exponent, strategy="split", trace=split) == (
+            pow(3, exponent, 10007)
+        )
+        exponentiate(field_group, 3, exponent, trace=auto)
+        assert split == auto
+        # Exponents no wider than p run wNAF on the torus, op for op.
+        torus = toy32_group.exp_group()
+        base = toy32_group.random_element(rng)
+        narrow = toy32_group.params.p - 2
+        split, wnaf = OpTrace(), OpTrace()
+        exponentiate(torus, base, narrow, strategy="split", trace=split)
+        exponentiate(torus, base, narrow, strategy="wnaf", trace=wnaf)
+        assert split == wnaf
+
+    def test_server_key_agreement_squares_at_most_bits_p_plus_one(self, ceilidh170_params):
+        from repro.pkc.registry import get_scheme
+
+        scheme = get_scheme("ceilidh-170")
+        keys = random.Random(312)
+        server, client = scheme.keygen(keys), scheme.keygen(keys)
+        trace = OpTrace()
+        secret = scheme.key_agreement(server, client.public_wire, trace=trace)
+        assert secret == scheme.key_agreement(client, server.public_wire)
+        # The private exponent is as wide as q (311 bits); p has 170.
+        assert trace.squarings <= ceilidh170_params.p.bit_length() + 1
 
 
 # ---------------------------------------------------------------------------

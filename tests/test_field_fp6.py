@@ -1,5 +1,8 @@
 """Tests for the Fp6 (F1 representation) field and the 18M multiplication."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.errors import ParameterError
@@ -8,6 +11,10 @@ from repro.field.fp6 import Fp6Field, make_fp6, split_halves
 from repro.field.fp2 import make_fp2
 from repro.field.fp3 import make_fp3
 from repro.field.opcount import CountingPrimeField
+from repro.torus.params import generate_parameters
+
+#: The plain fast paths and the resident Montgomery representation.
+BACKENDS = ("plain", "montgomery")
 
 
 class TestConstruction:
@@ -49,9 +56,25 @@ class TestPaperMultiplication:
         # uses a few more (see EXPERIMENTS.md) but stays in the same range.
         assert 55 <= field.counts.additions_total <= 75
 
-    def test_squaring_consistent(self, toy32_fp6, rng):
-        a = toy32_fp6.random_element(rng)
-        assert toy32_fp6.sqr(a) == toy32_fp6.mul_schoolbook(a, a)
+    def test_squaring_consistent(self, toy32_params, rng):
+        p = toy32_params.p
+        for backend in BACKENDS:
+            fp6 = make_fp6(PrimeField(p, backend=backend))
+            for _ in range(20):
+                a = fp6.random_element(rng)
+                assert fp6.sqr(a) == fp6.mul_schoolbook(a, a), backend
+            # Coefficients in {0, 1, p-1} give the largest unreduced
+            # intermediates of the 12M squaring.
+            for coeffs in itertools.product((0, 1, p - 1), repeat=6):
+                a = fp6(list(coeffs))
+                assert fp6.sqr(a) == fp6.mul_schoolbook(a, a), (backend, coeffs)
+        # Counting fields keep the paper's 18M per squaring.
+        field = CountingPrimeField(p)
+        fp6 = make_fp6(field)
+        a = fp6.random_element(rng)
+        field.reset_counts()
+        fp6.sqr(a)
+        assert field.counts.mul == 18
 
     def test_identity_and_zero(self, toy32_fp6, rng):
         a = toy32_fp6.random_element(rng)
@@ -109,6 +132,14 @@ class TestCyclotomicStructure:
         rhs = toy32_fp6.mul(toy32_fp6.frobenius(a, 1), toy32_fp6.frobenius(b, 1))
         assert lhs == rhs
 
-    def test_frobenius_power_matches_exponentiation(self, toy32_fp6, toy32_params, rng):
-        a = toy32_fp6.random_element(rng)
-        assert toy32_fp6.frobenius(a, 2) == toy32_fp6.pow(a, toy32_params.p ** 2)
+    def test_frobenius_power_matches_exponentiation(self, toy32_params, rng):
+        # Every named set has p = 2 (mod 9); the seeded set covers the other
+        # coefficient permutation, p = 5 (mod 9).
+        five_mod_9 = generate_parameters(32, random.Random(1))
+        assert toy32_params.p % 9 == 2 and five_mod_9.p % 9 == 5
+        for p in (toy32_params.p, five_mod_9.p):
+            for backend in BACKENDS:
+                fp6 = make_fp6(PrimeField(p, backend=backend))
+                a = fp6.random_element(rng)
+                for k in range(6):
+                    assert fp6.frobenius(a, k) == fp6.pow(a, p ** k), (p, backend, k)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
 import random
 
 import pytest
@@ -181,16 +182,26 @@ class TestEngine:
 
     def test_quota_refusals_are_explicit_and_recovered(self):
         """A tiny token bucket forces ERR_OVER_QUOTA frames; the engine
-        counts them as explicit errors and still completes the schedule."""
-        from repro.serve.channel import ChannelPolicy
+        counts them as explicit errors and still completes the schedule.
+
+        The channel table runs on a virtual clock that advances a fixed step
+        per reading, so each reading refills 1/16 of a token whatever the
+        host's speed.  The schedule draws 114 tokens, 37 of them by the
+        busiest client, and a frame reads the clock at most three times: so
+        before any refusal there are about 360 readings, and even if all of
+        them refilled the busiest bucket it would hold 8 + 360/16 < 37.
+        """
+        from repro.serve.channel import ChannelPolicy, ChannelTable
 
         async def scenario():
             policy = ChannelPolicy(
                 bucket_capacity=8.0, bucket_refill_per_second=300.0
             )
-            async with ServeServer(
-                rng=random.Random(0x7C), channel_policy=policy
-            ) as server:
+            ticks = itertools.count()
+            step = 1.0 / (16 * policy.bucket_refill_per_second)
+            server = ServeServer(rng=random.Random(0x7C), channel_policy=policy)
+            server.channels = ChannelTable(policy, clock=lambda: next(ticks) * step)
+            async with server:
                 host, port = server.address
                 report = await run_traffic(
                     host, port, TOY_MIX, clients=4,
