@@ -18,7 +18,6 @@ import random
 
 # bench_path is aliased so pytest's python_functions = bench_* rule does not
 # collect the imported library helper as a benchmark.
-from repro.field.native import native_substrate_name
 from repro.perf import (
     bench_path as perf_bench_path,
     compare,
@@ -38,10 +37,7 @@ BATCH_SCHEMES = ("ceilidh-170", "xtr-170", "ecdh-p160", "rsa-1024")
 BASELINE_TOLERANCE = 0.2
 
 #: Non-default backends whose serving throughput gets its own BENCH rows.
-#: ``native`` rows only exist where a substrate (gmpy2 or the compiled FIOS
-#: kernel) is actually available — without one the native backend degrades
-#: to plain and its row would just duplicate the baseline cell.
-EXTRA_BACKENDS = ("montgomery",) + (("native",) if native_substrate_name() else ())
+EXTRA_BACKENDS = ("montgomery",)
 
 #: Measured-vs-analytic agreement bound of the Table 3 projection check.
 PROJECTION_TOLERANCE = 0.05
@@ -244,12 +240,9 @@ def bench_backend_throughput(record_table, record_perf, platform, quick):
             if operation is None:  # pragma: no cover - every scheme has one
                 continue
             result = run_batch(scheme, operation, sessions, rng=rng)
-            # Native rows also record which substrate actually ran (gmpy2
-            # vs the compiled FIOS kernel) — the throughputs differ.
-            extra = {"substrate": native_substrate_name()} if backend == "native" else {}
             record = record_from_batch(
                 result, scheme=scheme, platform=platform, quick=quick,
-                sessions=sessions, backend=backend, **extra,
+                sessions=sessions, backend=backend,
             )
             record.scheme = f"{record.scheme}+{backend}"
             record_perf(record)
@@ -298,10 +291,9 @@ def bench_batch_vectorized_throughput(record_table, record_perf, platform, quick
                 continue
             result = run_batch(scheme, "key-agreement", sessions, rng=rng, coalesce=True)
             assert result.coalesced and result.batch_size == sessions
-            extra = {"substrate": native_substrate_name()} if backend == "native" else {}
             record = record_from_batch(
                 result, scheme=scheme, platform=platform, quick=quick,
-                sessions=sessions, backend=backend, **extra,
+                sessions=sessions, backend=backend,
             )
             record.scheme = f"{record.scheme}+{backend}"
             record.operation = "batch-ka"

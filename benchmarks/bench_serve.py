@@ -77,7 +77,6 @@ def bench_serve_load(record_table, record_perf, quick):
                        if entry.sessions else 0.0),
             latency_ms=digest,
             meta={"clients": report.clients, "quick": quick,
-                  "executor": server.scheduler.executor_kind,
                   "backend": server.scheme_host.backend},
         )
         record_perf(record)

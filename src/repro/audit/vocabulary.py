@@ -229,7 +229,6 @@ HEAVY_ASYNC_CALLS = frozenset(
         "serve_request",
         "serve_request_batch",
         "server_key",
-        "pickled_server_key",
         "exponentiate",
         "exponentiate_many",
         "exponentiate_shared_base",

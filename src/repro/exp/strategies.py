@@ -570,14 +570,6 @@ def exponentiate(
     return fn(group, base, exponent, trace=trace, window_bits=window_bits)
 
 
-def _batch_api_enabled() -> bool:
-    # Lazy import: repro.field imports this module at package init, so a
-    # top-level import of repro.field.backend here would be circular.
-    from repro.field.backend import batch_api_enabled
-
-    return batch_api_enabled()
-
-
 #: Below this exponent width a shared table cannot beat plain binary.
 _SHARED_TABLE_MIN_BITS = 17
 
@@ -592,16 +584,15 @@ def exponentiate_shared_base(
 ) -> List[Any]:
     """``base^e`` for one base and many exponents, sharing the precomputation.
 
-    With two or more wide exponents (and the batch API enabled) one
-    :class:`FixedBaseTable` — ``max_bits`` squarings, paid once — serves the
-    whole batch, so each element costs only ~popcount multiplications: the
-    multiplicative analogue of ``inv_many``'s one-inversion trick.  Exact
-    group arithmetic makes the results value-identical to looping
-    :func:`exponentiate`, which remains the fallback for short batches,
-    tiny exponents and ``REPRO_BATCH_API=off``.
+    With two or more wide exponents one :class:`FixedBaseTable` —
+    ``max_bits`` squarings, paid once — serves the whole batch, so each
+    element costs only ~popcount multiplications: the multiplicative
+    analogue of ``inv_many``'s one-inversion trick.  Exact group arithmetic
+    makes the results value-identical to looping :func:`exponentiate`,
+    which remains the fallback for short batches and tiny exponents.
     """
     exponents = [int(e) for e in exponents]
-    if len(exponents) >= 2 and _batch_api_enabled():
+    if len(exponents) >= 2:
         max_bits = max(abs(e).bit_length() for e in exponents)
         if max_bits >= _SHARED_TABLE_MIN_BITS:
             table = FixedBaseTable(group, base, max_bits, trace=trace)
@@ -627,8 +618,8 @@ def exponentiate_many(
     The batch front door: runs of items sharing a base (the serve
     scheduler's per-(scheme, kind) groups all exponentiate one server key or
     one generator) are detected and funnelled through
-    :func:`exponentiate_shared_base`; everything else — distinct bases,
-    short batches, ``REPRO_BATCH_API=off`` — takes the per-item
+    :func:`exponentiate_shared_base`; everything else — distinct bases and
+    short batches — takes the per-item
     :func:`exponentiate` path with its strategy tables built per call.
     Byte-identical to N single calls by contract.
     """
@@ -638,7 +629,7 @@ def exponentiate_many(
         raise ParameterError(
             f"exponentiate_many: length mismatch ({len(bases)} vs {len(exponents)})"
         )
-    if len(bases) < 2 or not _batch_api_enabled():
+    if len(bases) < 2:
         return [
             exponentiate(
                 group, b, e, strategy=strategy, trace=trace, window_bits=window_bits

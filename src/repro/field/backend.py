@@ -7,7 +7,7 @@ delegates its multiplicative arithmetic to an injected **backend**, so the
 entire extension tower (Fp2/Fp3/Fp6/the F2 tower), the exponentiation
 engine and every registry scheme inherit the substrate selection for free.
 
-Four backends are provided:
+Three backends are provided:
 
 * :class:`PlainBackend` — today's plain-integer arithmetic (``a * b % p``).
   The default fast path; nothing about the historical behaviour changes.
@@ -26,14 +26,6 @@ Four backends are provided:
   SoC Table 3 projection from an analytic composition into a measurement
   of the word operations the schemes actually execute (see
   :meth:`repro.soc.cost.CostModel.measured_exponentiation_cycles`).
-* :class:`NativeBackend` — plain-representation arithmetic on the fastest
-  native substrate available (see :mod:`repro.field.native`): GMP via the
-  optional ``gmpy2`` package (``mpz`` residents, ``powmod`` behind the
-  exp-engine fast path), else the on-demand-compiled ctypes FIOS
-  Montgomery C kernel for whole exponentiations, else — with a logged
-  warning — the pure-python plain path, so ``REPRO_FIELD_BACKEND=native``
-  is always safe.  Residents coincide with plain reduced integers, so
-  seeded wire output is byte-identical with the plain backend.
 
 Every bound backend also exposes :meth:`FieldOps.inv_many` — batch
 inversion by Montgomery's trick (1 inversion + 3(N-1) multiplications for
@@ -67,19 +59,13 @@ __all__ = [
     "PlainFieldOps",
     "MontgomeryFieldOps",
     "WordCountingFieldOps",
-    "GmpFieldOps",
-    "KernelFieldOps",
     "PlainBackend",
     "MontgomeryBackend",
     "WordCountingBackend",
-    "NativeBackend",
     "BACKENDS",
     "get_backend",
     "default_backend_name",
-    "canonical_backend_name",
     "BACKEND_ENV_VAR",
-    "BATCH_API_ENV_VAR",
-    "batch_api_enabled",
 ]
 
 #: Environment variable consulted by the scheme layer (``repro.pkc``) when no
@@ -87,26 +73,6 @@ __all__ = [
 #: to plain arithmetic — the env var steers protocol-level construction, not
 #: every bare field a unit test builds.
 BACKEND_ENV_VAR = "REPRO_FIELD_BACKEND"
-
-#: Escape hatch for the vectorized batch API: ``REPRO_BATCH_API=off`` makes
-#: every batch entry point (``pow_many``, ``exponentiate_many``, the native
-#: ``powmod_batch`` funnel) degrade to a loop of single calls.  The batch
-#: paths are value-identical by contract, so this only trades speed — it
-#: exists to prove the scalar paths stay green (a CI matrix leg runs tier-1
-#: under it) and to bisect a miscompiled batch kernel in the field.
-BATCH_API_ENV_VAR = "REPRO_BATCH_API"
-
-
-def batch_api_enabled() -> bool:
-    """Whether batch implementations may amortize work across a batch.
-
-    Read at call time (not import time) so tests and CI legs can flip
-    ``REPRO_BATCH_API`` per process.  Off never changes values — only which
-    code path produces them.
-    """
-    value = os.environ.get(BATCH_API_ENV_VAR, "").strip().lower()
-    return value not in ("0", "off", "no", "false")
-
 
 @dataclass
 class WordOpStream:
@@ -176,8 +142,8 @@ class FieldOps:
     """A backend bound to one modulus: the operations ``PrimeField`` delegates.
 
     Subclasses fix the representation.  ``plain`` reports whether resident
-    values coincide with ordinary reduced integers (True for
-    :class:`PlainFieldOps` and the native substrates); ``rebind`` reports
+    values coincide with ordinary reduced integers (True only for
+    :class:`PlainFieldOps`); ``rebind`` reports
     whether ``PrimeField`` must delegate its arithmetic methods to this
     object (False only for :class:`PlainFieldOps`, which the field's
     class-level fast path already implements); ``representation`` names the
@@ -278,8 +244,8 @@ class FieldOps:
     # Arrays of residents in, arrays of residents out, index-aligned.  Every
     # method is value-identical to the equivalent loop of single calls — the
     # ``inv_many`` contract — so backends are free to amortize work across
-    # the batch (shared tables, one FFI call) without changing any byte a
-    # protocol emits.  The defaults below are the correct plain-Python
+    # the batch (shared tables) without changing any byte a protocol
+    # emits.  The defaults below are the correct plain-Python
     # fallback every backend inherits.
 
     @staticmethod
@@ -318,10 +284,8 @@ class FieldOps:
     def pow_many(self, bases, exponents) -> list:
         """``bases[i] ** exponents[i]`` over resident arrays.
 
-        The centerpiece of the batch seam: native backends override this to
-        keep the whole batch below the Python object layer (one ctypes call
-        for the FIOS kernel, mpz-resident looping for gmpy2).  The default
-        loops :meth:`pow`, so the result is byte-identical everywhere.
+        The default loops :meth:`pow`, so the result is byte-identical
+        everywhere.
         """
         bases, exponents = self._paired(bases, exponents, "pow_many")
         pw = self.pow
@@ -425,11 +389,7 @@ class MontgomeryFieldOps(FieldOps):
         fall back to the loop.
         """
         exponents = list(exponents)
-        if (
-            len(exponents) < 2
-            or not batch_api_enabled()
-            or any(e < 0 for e in exponents)
-        ):
+        if len(exponents) < 2 or any(e < 0 for e in exponents):
             return [self.pow(base, e) for e in exponents]
         from repro.exp.strategies import FixedBaseTable
 
@@ -589,145 +549,6 @@ class WordCountingFieldOps(MontgomeryFieldOps):
         return [pw(b, e) for b, e in zip(bases, exponents)]
 
 
-class GmpFieldOps(FieldOps):
-    """Plain-representation arithmetic on GMP ``mpz`` values (gmpy2).
-
-    Residents are ``mpz`` — plain reduced integers as far as every consumer
-    is concerned (``mpz`` interoperates and compares equal with ``int``),
-    but multiplication, inversion and above all :meth:`pow` (GMP's
-    ``powmod``) run on GMP's native kernels.  :meth:`exit` narrows back to
-    ``int`` so wire encodes (``.to_bytes``) see the builtin type.
-    """
-
-    plain = True
-    rebind = True
-    representation = "plain"
-    substrate = "gmpy2"
-
-    def __init__(self, modulus: int, gmpy2):
-        super().__init__(modulus)
-        self._gmpy2 = gmpy2
-        self._mpz = gmpy2.mpz
-        self.pz = gmpy2.mpz(modulus)
-
-    def enter(self, x: int) -> int:
-        return self._mpz(x)
-
-    def exit(self, x: int) -> int:
-        return int(x)
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.pz
-
-    def sqr(self, a: int) -> int:
-        return a * a % self.pz
-
-    def inv(self, a: int) -> int:
-        try:
-            return self._gmpy2.invert(a, self.pz)
-        except ZeroDivisionError:
-            raise NotInvertibleError(int(a) % self.p, self.p) from None
-
-    def pow(self, a: int, e: int) -> int:
-        try:
-            return self._gmpy2.powmod(a, e, self.pz)
-        except (ValueError, ZeroDivisionError):
-            # Negative exponent of a non-invertible base.
-            raise NotInvertibleError(int(a) % self.p, self.p) from None
-
-    def pow_many(self, bases, exponents) -> list:
-        """Loop GMP's ``powmod`` with every value staying ``mpz``-resident.
-
-        No int round-trips between elements: bases arrive resident, results
-        stay resident, and the modulus is the cached ``mpz``.
-        """
-        bases, exponents = self._paired(bases, exponents, "pow_many")
-        powmod = self._gmpy2.powmod
-        pz = self.pz
-        out = []
-        for b, e in zip(bases, exponents):
-            try:
-                out.append(powmod(b, e, pz))
-            except (ValueError, ZeroDivisionError):
-                raise NotInvertibleError(int(b) % self.p, self.p) from None
-        return out
-
-    def pow_many_shared_base(self, base, exponents) -> list:
-        """Shared-base batch through GMP, using its list-powmod when present.
-
-        gmpy2 >= 2.2 ships ``powmod_exp_list`` (one GMP call for the whole
-        batch); older builds fall back to the resident ``powmod`` loop —
-        same values either way.
-        """
-        exponents = list(exponents)
-        batch_fn = getattr(self._gmpy2, "powmod_exp_list", None)
-        if (
-            batch_fn is not None
-            and batch_api_enabled()
-            and len(exponents) >= 2
-            and all(e >= 0 for e in exponents)
-        ):
-            try:
-                return list(batch_fn(base, exponents, self.pz))
-            except (TypeError, ValueError, ZeroDivisionError):
-                pass  # fall through to the loop on any interface mismatch
-        return [self.pow(base, e) for e in exponents]
-
-
-class KernelFieldOps(PlainFieldOps):
-    """Plain-representation arithmetic over the ctypes FIOS C kernel.
-
-    Residents are ordinary reduced integers and single products keep the
-    CPython fast path (per-call FFI overhead would eat the kernel's win);
-    whole modular **exponentiations** — where the serve workload spends its
-    time — run as one C call through
-    :meth:`repro.field.native.FiosKernel.powmod`.  Even moduli and sizes
-    beyond the kernel's limb budget fall back to the builtin ``pow``.
-    """
-
-    rebind = True
-    substrate = "fios-c"
-
-    def __init__(self, modulus: int, kernel):
-        super().__init__(modulus)
-        self._kernel = kernel if kernel.supports(modulus) else None
-
-    def pow(self, a: int, e: int) -> int:
-        if self._kernel is None:
-            return super().pow(a, e)
-        if e < 0:
-            return self._kernel.powmod(modinv(a, self.p), -e, self.p)
-        return self._kernel.powmod(a, e, self.p)
-
-    def pow_many(self, bases, exponents) -> list:
-        """The whole batch of ladders in **one** ctypes call.
-
-        :meth:`repro.field.native.FiosKernel.powmod_batch` marshals every
-        operand once and runs N MSB-first Montgomery ladders back-to-back in
-        C — the FFI setup PR 6 amortized within one ladder is now amortized
-        across the batch.  Negative exponents are pre-inverted in Python
-        (exactly like :meth:`pow`); the scalar loop remains as the fallback
-        when the kernel is absent or the batch API is switched off.
-        """
-        bases, exponents = self._paired(bases, exponents, "pow_many")
-        if self._kernel is None or len(bases) < 2 or not batch_api_enabled():
-            pw = self.pow
-            return [pw(b, e) for b, e in zip(bases, exponents)]
-        p = self.p
-        flat_bases = []
-        flat_exps = []
-        for b, e in zip(bases, exponents):
-            if e < 0:
-                b, e = modinv(b, p), -e
-            flat_bases.append(b)
-            flat_exps.append(e)
-        return self._kernel.powmod_batch(flat_bases, flat_exps, p)
-
-    def pow_many_shared_base(self, base, exponents) -> list:
-        exponents = list(exponents)
-        return self.pow_many([base] * len(exponents), exponents)
-
-
 # ---------------------------------------------------------------------------
 # Backend specifications (unbound): what callers inject and registries name.
 # ---------------------------------------------------------------------------
@@ -781,50 +602,11 @@ class WordCountingBackend(MontgomeryBackend):
         return WordCountingFieldOps(modulus, self.word_bits, self.stream)
 
 
-class NativeBackend(PlainBackend):
-    """Spec for the native-accelerated plain-representation backend.
-
-    Binding picks the best substrate probed by :mod:`repro.field.native`:
-    gmpy2 (:class:`GmpFieldOps`), else the compiled FIOS C kernel
-    (:class:`KernelFieldOps`), else — once per process, with a logged
-    warning — it degrades to :class:`PlainFieldOps`, so selecting
-    ``native`` never fails.  :attr:`substrate` reports what was found
-    (``"gmpy2"`` / ``"fios-c"`` / ``None``).
-    """
-
-    name = "native"
-    representation = "plain"
-
-    _warned = False
-
-    def __init__(self):
-        from repro.field.native import resolve_substrate
-
-        self.substrate, self._handle = resolve_substrate()
-        if self.substrate is None and not NativeBackend._warned:
-            NativeBackend._warned = True
-            import logging
-
-            logging.getLogger("repro.field.native").warning(
-                "native field backend requested but neither gmpy2 nor a "
-                "working C compiler is available; degrading to the "
-                "pure-python plain backend (pip install gmpy2 to accelerate)"
-            )
-
-    def bind(self, modulus: int) -> PlainFieldOps:
-        if self.substrate == "gmpy2":
-            return GmpFieldOps(modulus, self._handle)
-        if self.substrate == "fios-c":
-            return KernelFieldOps(modulus, self._handle)
-        return PlainFieldOps(modulus)
-
-
 #: Name -> backend-spec class.
 BACKENDS = {
     "plain": PlainBackend,
     "montgomery": MontgomeryBackend,
     "word-counting": WordCountingBackend,
-    "native": NativeBackend,
 }
 
 BackendLike = Union[None, str, PlainBackend]
@@ -855,21 +637,3 @@ def default_backend_name(override: Optional[str] = None) -> str:
     if override is not None:
         return override
     return os.environ.get(BACKEND_ENV_VAR, "plain") or "plain"
-
-
-def canonical_backend_name(name: str) -> str:
-    """Collapse backend aliases that bind to identical arithmetic.
-
-    ``native`` without an available substrate degrades to the plain path at
-    bind time, so cache layers (the scheme registry in
-    :mod:`repro.pkc.registry`) key it as ``plain`` — a process that mixes
-    ``backend=None`` under ``REPRO_FIELD_BACKEND=native`` with explicit
-    ``backend="plain"`` calls then shares one warm instance (one set of
-    fixed-base tables) instead of building two.
-    """
-    if name == "native":
-        from repro.field.native import native_substrate_name
-
-        if native_substrate_name() is None:
-            return "plain"
-    return name

@@ -155,8 +155,8 @@ class PrimeField:
 
         The batch twin of :meth:`pow` and the field-level mouth of the
         backend seam: non-plain backends rebind this to the backend's
-        :meth:`~repro.field.backend.FieldOps.pow_many` (one ctypes call for
-        the FIOS kernel), and the plain default loops the builtin ``pow``.
+        :meth:`~repro.field.backend.FieldOps.pow_many`, and the plain
+        default loops the builtin ``pow``.
         Value-identical to N single :meth:`pow` calls by contract.
         """
         bases = list(bases)
@@ -171,9 +171,9 @@ class PrimeField:
     def pow_many_shared_base(self, base, exponents) -> list:
         """Batch power of one resident base by many exponents.
 
-        Backends amortize a shared fixed-base table (or a single native
-        batch call) across the exponents; the plain default loops
-        :meth:`pow`.  Same values as the loop, always.
+        Montgomery-resident backends amortize a shared fixed-base table
+        across the exponents; the plain default loops :meth:`pow`.  Same
+        values as the loop, always.
         """
         pw = self.pow
         return [pw(base, e) for e in exponents]

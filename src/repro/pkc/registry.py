@@ -15,9 +15,8 @@ concurrently with the event loop without ever constructing duplicates.
 ``backend`` selects the field-arithmetic substrate underneath the scheme
 (see :mod:`repro.field.backend`): ``"plain"`` (the default fast path),
 ``"montgomery"`` (elements resident in Montgomery form across whole
-protocol runs), ``"word-counting"`` (word-level FIOS with streamed
-tallies) or ``"native"`` (gmpy2 / compiled FIOS kernel, degrading to
-plain).  With no explicit backend the ``REPRO_FIELD_BACKEND`` environment
+protocol runs) or ``"word-counting"`` (word-level FIOS with streamed
+tallies).  With no explicit backend the ``REPRO_FIELD_BACKEND`` environment
 variable decides, so one CI leg can run the whole protocol stack on the
 resident-Montgomery substrate.
 """
@@ -29,7 +28,7 @@ import threading
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ParameterError
-from repro.field.backend import BACKENDS, canonical_backend_name, default_backend_name
+from repro.field.backend import BACKENDS, default_backend_name
 from repro.pkc.base import PkcScheme
 
 __all__ = ["register_scheme", "get_scheme", "available_schemes"]
@@ -93,12 +92,6 @@ def get_scheme(
         raise ParameterError(
             f"unknown field backend {resolved!r}; available: {sorted(BACKENDS)}"
         )
-    # Canonicalise aliases that bind to identical arithmetic (``native``
-    # with no substrate degrades to plain) so the cache holds one warm
-    # instance — not a duplicate set of fixed-base tables — regardless of
-    # whether callers name the backend explicitly or arrive here through
-    # ``backend=None`` + ``REPRO_FIELD_BACKEND``.
-    resolved = canonical_backend_name(resolved)
     with _REGISTRY_LOCK:
         try:
             factory = _FACTORIES[name]

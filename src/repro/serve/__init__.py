@@ -12,7 +12,7 @@ registry → **serve**): everything the offline harness measures with
   (``repro.pkc.bench`` runs the same session functions);
 * :mod:`repro.serve.scheduler` — a bounded request queue with explicit
   backpressure, same-scheme batching (the amortisation story, online) and a
-  thread- or process-pool for the CPU-bound group arithmetic;
+  thread pool for the CPU-bound group arithmetic;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio TCP
   server and the load-generator client;
 * ``python -m repro.serve serve|load`` — run a server, or drive one with N

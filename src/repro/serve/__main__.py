@@ -3,7 +3,8 @@
 Three subcommands:
 
 * ``serve`` — bind a :class:`~repro.serve.server.ServeServer` and run until
-  interrupted.  ``--executor process --workers N`` serves on N cores.
+  interrupted; its batches run on a thread pool of ``--workers`` threads.
+  For more than one core, use ``cluster``.
 
 * ``cluster`` — run a :class:`~repro.serve.cluster.ClusterSupervisor`:
   ``--workers N`` independent server processes sharing one port
@@ -55,10 +56,9 @@ BASELINE_OPERATION = "key-agreement"
 def _add_server_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
                         help="field backend (default: $REPRO_FIELD_BACKEND or plain)")
-    parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                        help="worker pool for the group arithmetic")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker pool size (default: min(4, cores))")
+                        help="thread pool size for the group arithmetic "
+                             "(default: min(4, cores))")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="largest same-scheme batch one worker executes")
     parser.add_argument("--queue-size", type=int, default=256,
@@ -188,7 +188,6 @@ def _emit_records(
                 latency_ms=entry.histogram.summary(),
                 meta={
                     "clients": report.clients,
-                    "executor": args.executor,
                     "backend": backend_name,
                     "quick": quick,
                     "overload_rejections": entry.overload_rejections,
@@ -468,7 +467,6 @@ async def _run_traffic_command(args, backend_name: str, sessions: int) -> int:
         else:
             server = ServeServer(
                 backend=args.backend,
-                executor=args.executor,
                 workers=args.workers,
                 max_batch=args.max_batch,
                 queue_size=args.queue_size,
@@ -618,7 +616,6 @@ async def _run_load_command(args) -> int:
         server = ServeServer(
             schemes=None,  # serve the whole registry; the mix picks from it
             backend=args.backend,
-            executor=args.executor,
             workers=args.workers,
             max_batch=args.max_batch,
             queue_size=args.queue_size,
@@ -747,7 +744,6 @@ async def _run_serve_command(args) -> int:
         port=args.port,
         schemes=schemes,
         backend=args.backend,
-        executor=args.executor,
         workers=args.workers,
         max_batch=args.max_batch,
         queue_size=args.queue_size,
@@ -755,7 +751,7 @@ async def _run_serve_command(args) -> int:
     address = await server.start()
     names = ", ".join(server.scheme_host.scheme_names())
     print(f"repro.serve listening on {address[0]}:{address[1]} "
-          f"[{server.scheme_host.backend} backend, {server.scheduler.executor_kind} "
+          f"[{server.scheme_host.backend} backend, thread "
           f"pool x{server.scheduler.workers}] serving: {names}")
     try:
         await server.serve_forever()

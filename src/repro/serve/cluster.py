@@ -1,10 +1,9 @@
 """Multi-process cluster serving: N workers, one port, one server identity.
 
-The single-process server scales until the GIL (thread executor) or the
-process pool's pickle overhead (process executor) caps it.  The cluster
-takes the other axis: **N independent worker processes**, each a complete
-:class:`~repro.serve.server.ServeServer` with its own event loop, scheduler
-and pool, sharing one public listen port.
+The single-process server scales until the GIL caps its thread pool.  The
+cluster takes the other axis: **N independent worker processes**, each a
+complete :class:`~repro.serve.server.ServeServer` with its own event loop,
+scheduler and pool, sharing one public listen port.
 
 Two sharing modes, picked automatically:
 
@@ -37,10 +36,9 @@ Lifecycle, run by :class:`ClusterSupervisor`:
 * **rolling restart** — drain and respawn one worker at a time, waiting
   for each replacement to report ready, so the port never stops serving.
 
-Workers run **thread** executors only: they are daemonic processes (so a
-dying supervisor can never leak them) and daemonic processes may not have
-children — and the cluster already owns the process-level parallelism the
-process executor existed to provide.
+Workers are daemonic processes, so a dying supervisor can never leak them;
+each runs its batches on a thread pool, and the workers themselves are the
+process-level parallelism.
 """
 
 from __future__ import annotations
@@ -81,7 +79,6 @@ class WorkerSpec:
     reuse_port: bool
     schemes: Optional[Tuple[str, ...]]
     backend: Optional[str]
-    executor: str
     pool_workers: Optional[int]
     max_batch: int
     queue_size: int
@@ -96,7 +93,6 @@ async def _worker_serve(spec: WorkerSpec, events) -> None:
         port=spec.port,
         schemes=spec.schemes,
         backend=spec.backend,
-        executor=spec.executor,
         workers=spec.pool_workers,
         max_batch=spec.max_batch,
         queue_size=spec.queue_size,
@@ -173,7 +169,6 @@ class ClusterSupervisor:
         mode: str = "auto",
         schemes: Optional[Sequence[str]] = None,
         backend: Optional[str] = None,
-        executor: str = "thread",
         pool_workers: Optional[int] = None,
         max_batch: int = 32,
         queue_size: int = 256,
@@ -184,14 +179,6 @@ class ClusterSupervisor:
             raise ParameterError("a cluster needs at least one worker")
         if mode not in ("auto", "reuseport", "router"):
             raise ParameterError(f"unknown cluster mode {mode!r}")
-        if executor != "thread":
-            # Workers are daemonic (a dying supervisor must not leak them)
-            # and daemonic processes may not have children; the cluster is
-            # the process-level parallelism anyway.
-            raise ParameterError(
-                "cluster workers run thread executors only; the worker "
-                "processes themselves are the process-level parallelism"
-            )
         if mode == "reuseport" and not reuseport_available():
             raise ParameterError("SO_REUSEPORT is not available on this platform")
         if schemes is not None:
@@ -214,7 +201,6 @@ class ClusterSupervisor:
         )
         self.schemes = tuple(schemes) if schemes is not None else None
         self.backend = backend
-        self.executor = executor
         self.pool_workers = pool_workers
         self.max_batch = max_batch
         self.queue_size = queue_size
@@ -408,7 +394,6 @@ class ClusterSupervisor:
             reuse_port=reuse,
             schemes=self.schemes,
             backend=self.backend,
-            executor=self.executor,
             pool_workers=self.pool_workers,
             max_batch=self.max_batch,
             queue_size=self.queue_size,

@@ -19,11 +19,9 @@ of the same group from running concurrently (scheme instances cache state
 and are not reentrant); *different* schemes run in parallel across the
 pool.
 
-Two executors are supported: ``"thread"`` (default — shares the registry's
-warm instances, no serialisation cost) and ``"process"`` (sidesteps the
-GIL for multi-core serving; the server key pair is pickled to the workers,
-which resolve their own scheme instances from the registry, exactly like
-``run_batch_parallel``'s workers).  Both respect the field backend the
+Batches run on a thread pool, which shares the registry's warm instances
+with no serialisation cost; multi-core serving is the cluster's job
+(:mod:`repro.serve.cluster`).  The pool respects the field backend the
 host was built with, so ``REPRO_FIELD_BACKEND=montgomery`` steers the
 online path onto the resident-Montgomery substrate like every other layer.
 """
@@ -32,9 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import hashlib
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,7 +45,7 @@ from repro.errors import (
     UnsupportedOperationError,
 )
 from repro.serve.protocol import ERR_BAD_REQUEST, ERR_INTERNAL, ERR_UNSUPPORTED
-from repro.serve.session import BatchItemFailure, serve_request, serve_request_batch
+from repro.serve.session import serve_request, serve_request_batch
 
 __all__ = [
     "SchemeHost",
@@ -88,7 +84,6 @@ class SchemeHost:
         # server identity — a client failing over to another worker keeps a
         # valid cached public key.
         self._keys: Dict[str, Any] = dict(preset_keys) if preset_keys else {}
-        self._pickled_keys: Dict[str, bytes] = {}
         # Key creation is locked *per scheme*: a slow first keygen (RSA's
         # lazy key material) must never block another scheme's cached-key
         # lookup — the event loop touches this from _run_batch.
@@ -136,17 +131,6 @@ class SchemeHost:
                     self._keys[name] = key
             return key
 
-    def pickled_server_key(self, name: str) -> bytes:
-        """The server key pair serialised once for process-pool workers."""
-        with self._lock:
-            pickled = self._pickled_keys.get(name)
-            if pickled is not None:
-                return pickled
-        pickled = pickle.dumps(self.server_key(name))  # audit: allow[CT104] the designed hand-off: workers in the process pool need the key material
-        with self._lock:
-            self._pickled_keys[name] = pickled
-            return self._pickled_keys[name]
-
 
 def classify_error(exc: BaseException) -> Tuple[int, str]:
     """Map an exception from request execution onto a wire error code."""
@@ -166,81 +150,37 @@ _BatchItemResult = Tuple[bool, int, bytes]
 
 def _execute_batch(
     scheme, server_key, kind: str, payloads: Sequence[bytes]
-) -> Tuple[List[_BatchItemResult], float, bool, int]:
-    """Run one same-group batch synchronously; returns results, busy seconds,
-    whether the batch executed coalesced, and how many per-item results were
-    salvaged from a partially-failed coalesced attempt.
+) -> Tuple[List[_BatchItemResult], float, bool]:
+    """Run one same-group batch synchronously; returns results, busy seconds
+    and whether the batch executed coalesced.
 
-    Multi-request groups first try the coalesced path
-    (:func:`repro.serve.session.serve_request_batch`), which collects the
-    group's pending modular inversions into one batch inversion per round
-    and routes key agreements and signatures through the schemes' vectorised
-    entry points.  On failure the batch falls back to the per-item loop, so
-    per-item failures never poison the batch: each request answers
-    individually (success frame or error frame), matching how the offline
-    harness treats sessions as independent.  When the coalesced attempt
-    failed partway through a per-item kind, the responses it already
-    computed travel back in :class:`~repro.serve.session.BatchItemFailure`
-    and are reused as-is — only the unresolved items re-execute.
+    Multi-request groups of a batchable kind first try the coalesced path
+    (:func:`repro.serve.session.serve_request_batch`), which routes key
+    agreements and signatures through the schemes' vectorised entry points.
+    Every other kind runs the per-item loop directly, and a coalesced
+    attempt that raised falls back to it, so each request answers
+    individually (success frame or error frame) and per-item failures never
+    poison the batch — matching how the offline harness treats sessions as
+    independent.
     """
     started = time.perf_counter()
-    partial: "Optional[list]" = None
     if len(payloads) > 1:
         try:
             responses = serve_request_batch(scheme, server_key, kind, payloads)
-        except BatchItemFailure as exc:
-            partial = exc.partial
         except Exception:  # noqa: BLE001 - re-run per item for exact frames
-            pass
-        else:
+            responses = None
+        if responses is not None:
             results = [(True, opcode, response) for opcode, response in responses]
-            return results, time.perf_counter() - started, True, 0
+            return results, time.perf_counter() - started, True
     results = []
-    salvaged = 0
-    for index, payload in enumerate(payloads):
-        done = partial[index] if partial is not None and index < len(partial) else None
-        if done is not None:
-            results.append((True, done[0], done[1]))
-            salvaged += 1
-            continue
+    for payload in payloads:
         try:
             opcode, response = serve_request(scheme, server_key, kind, payload)
             results.append((True, opcode, response))
         except Exception as exc:  # noqa: BLE001 - classified onto the wire
             code, detail = classify_error(exc)
             results.append((False, code, detail.encode("utf-8")))
-    return results, time.perf_counter() - started, False, salvaged
-
-
-#: Per-process cache of unpickled server keys, keyed by pickle digest, so a
-#: process worker deserialises each long-lived key once, not once per batch.
-_PROCESS_KEY_CACHE: Dict[bytes, Any] = {}
-
-
-def _process_batch(
-    scheme_name: str,
-    backend: str,
-    pickled_server_key: bytes,
-    kind: str,
-    payloads: Sequence[bytes],
-) -> Tuple[List[_BatchItemResult], float, bool, int]:
-    """Process-pool entry point: resolve locally, execute, return results.
-
-    Mirrors ``run_batch_parallel``'s worker: the child resolves its own warm
-    scheme instance from the registry (building its own fixed-base tables
-    once), but — unlike the offline workers — it must serve with the *same*
-    key pair the parent advertised in WELCOME, so the key crosses the
-    process boundary by pickle.
-    """
-    from repro.pkc.registry import get_scheme
-
-    digest = hashlib.sha256(pickled_server_key).digest()
-    server_key = _PROCESS_KEY_CACHE.get(digest)
-    if server_key is None:
-        server_key = pickle.loads(pickled_server_key)
-        _PROCESS_KEY_CACHE[digest] = server_key
-    scheme = get_scheme(scheme_name, backend=backend)
-    return _execute_batch(scheme, server_key, kind, payloads)
+    return results, time.perf_counter() - started, False
 
 
 @dataclass
@@ -253,9 +193,6 @@ class GroupStats:
     #: Batches that executed on the coalesced path (shared batch inversion
     #: per group round) rather than the per-item loop.
     coalesced: int = 0
-    #: Per-item responses reused from a partially-failed coalesced attempt
-    #: instead of being executed a second time in the fallback loop.
-    salvaged: int = 0
     #: Executor-side wall seconds actually spent executing this group's
     #: batches — the denominator of the batched server-side throughput.
     busy_seconds: float = 0.0
@@ -294,31 +231,27 @@ class _WorkItem:
 
 
 class BatchScheduler:
-    """Bounded-queue batching dispatcher over a thread or process pool."""
+    """Bounded-queue batching dispatcher over a thread pool."""
 
     def __init__(
         self,
         host: SchemeHost,
-        executor: str = "thread",
         workers: Optional[int] = None,
         max_batch: int = 32,
         queue_size: int = 256,
     ):
-        if executor not in ("thread", "process"):
-            raise ParameterError(f"unknown executor kind {executor!r}")
         if max_batch < 1:
             raise ParameterError("max_batch must be at least 1")
         if queue_size < 1:
             raise ParameterError("queue_size must be at least 1")
         self.host = host
-        self.executor_kind = executor
         self.workers = workers or min(4, os.cpu_count() or 1)
         self.max_batch = max_batch
         self.queue_size = queue_size
         self.stats = SchedulerStats()
         self._draining = False
         self._queue: "Optional[asyncio.Queue[_WorkItem]]" = None
-        self._executor: Optional[concurrent.futures.Executor] = None
+        self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._dispatcher: Optional["asyncio.Task"] = None
         # Keyed by scheme name, not (scheme, kind): a scheme instance caches
         # state (lazy generator tables, Montgomery domains) and is not
@@ -332,14 +265,9 @@ class BatchScheduler:
             raise ParameterError("scheduler already started")
         self._draining = False
         self._queue = asyncio.Queue(maxsize=self.queue_size)
-        if self.executor_kind == "process":
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers
-            )
-        else:
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-serve"
-            )
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-serve"
+        )
         self._dispatcher = asyncio.get_running_loop().create_task(self._dispatch_loop())
 
     async def stop(self, drain: bool = False) -> None:
@@ -452,29 +380,16 @@ class BatchScheduler:
                 # could be submitted), so these are cached lookups, and the
                 # per-scheme creation lock means they can never stall the
                 # event loop behind another scheme's slow first keygen.
-                if self.executor_kind == "process":
-                    self.host.scheme(scheme_name)  # validates the name
-                    pickled_key = self.host.pickled_server_key(scheme_name)  # audit: allow[RC204] memoized after HELLO; steady state is a dict hit under a lock
-                    results, busy, coalesced, salvaged = await loop.run_in_executor(
-                        self._executor,
-                        _process_batch,
-                        scheme_name,
-                        self.host.backend,
-                        pickled_key,
-                        kind,
-                        [item.payload for item in items],
-                    )
-                else:
-                    scheme = self.host.scheme(scheme_name)
-                    server_key = self.host.server_key(scheme_name)  # audit: allow[RC204] memoized after HELLO; steady state is a dict hit under a lock
-                    results, busy, coalesced, salvaged = await loop.run_in_executor(
-                        self._executor,
-                        _execute_batch,
-                        scheme,
-                        server_key,
-                        kind,
-                        [item.payload for item in items],
-                    )
+                scheme = self.host.scheme(scheme_name)
+                server_key = self.host.server_key(scheme_name)  # audit: allow[RC204] memoized after HELLO; steady state is a dict hit under a lock
+                results, busy, coalesced = await loop.run_in_executor(
+                    self._executor,
+                    _execute_batch,
+                    scheme,
+                    server_key,
+                    kind,
+                    [item.payload for item in items],
+                )
             except Exception as exc:  # noqa: BLE001 - fan the failure out
                 code, detail = classify_error(exc)
                 for item in items:
@@ -487,7 +402,6 @@ class BatchScheduler:
         stats = self.stats.group(scheme_name, kind)
         stats.batches += 1
         stats.coalesced += 1 if coalesced else 0
-        stats.salvaged += salvaged
         stats.busy_seconds += busy
         stats.largest_batch = max(stats.largest_batch, len(items))
         self.stats.batches += 1

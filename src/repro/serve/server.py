@@ -94,7 +94,6 @@ class ServeServer:
         port: int = 0,
         schemes: Optional[Sequence[str]] = None,
         backend: Optional[str] = None,
-        executor: str = "thread",
         workers: Optional[int] = None,
         max_batch: int = 32,
         queue_size: int = 256,
@@ -112,7 +111,6 @@ class ServeServer:
         )
         self.scheduler = BatchScheduler(
             self.scheme_host,
-            executor=executor,
             workers=workers,
             max_batch=max_batch,
             queue_size=queue_size,

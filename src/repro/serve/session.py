@@ -29,7 +29,7 @@ connection's lifetime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import ParameterError, ProtocolError
 from repro.serve import protocol
@@ -56,7 +56,6 @@ __all__ = [
     "KIND_BY_OPCODE",
     "CAPABILITY_BY_KIND",
     "CHANNEL_SECRET_KIND",
-    "BatchItemFailure",
     "ConnectionSession",
     "serve_request",
     "serve_request_batch",
@@ -91,22 +90,6 @@ CAPABILITY_BY_KIND = {
 #: handler derives keys from the result and only a confirmation tag
 #: travels back to the peer.
 CHANNEL_SECRET_KIND = "channel-secret"
-
-
-class BatchItemFailure(Exception):
-    """A per-item batch loop failed partway; carries the per-index partials.
-
-    ``partial[i]`` is the completed ``(opcode, payload)`` response for every
-    item that executed before the failure and ``None`` for the failing item
-    and everything after it.  The scheduler reuses the completed slots and
-    re-runs only the ``None`` slots individually, so one malformed request
-    never costs the batch's already-finished work a second execution.
-    """
-
-    def __init__(self, partial):
-        unresolved = sum(1 for entry in partial if entry is None)
-        super().__init__(f"{unresolved} of {len(partial)} batch items unresolved")
-        self.partial = partial
 
 
 @dataclass
@@ -170,23 +153,21 @@ def serve_request(
 
 def serve_request_batch(
     scheme: "PkcScheme", server_key: "SchemeKeyPair", kind: str, payloads
-) -> "list[Tuple[int, bytes]]":
-    """Execute one same-kind batch coalesced; returns ``(opcode, payload)`` per item.
+) -> "Optional[List[Tuple[int, bytes]]]":
+    """Execute one same-kind batch coalesced; ``(opcode, payload)`` per item.
 
-    Key-agreement batches route through the scheme's
-    ``key_agreement_many`` — same wire bytes as N :func:`serve_request`
-    calls, but the per-session modular inversions collapse to one per group
-    round (Montgomery's trick, see
+    Only kinds with a batch entry point coalesce.  Key-agreement batches
+    route through the scheme's ``key_agreement_many`` — same wire bytes as
+    N :func:`serve_request` calls, but the per-session modular inversions
+    collapse to one per group round (Montgomery's trick, see
     :meth:`repro.field.backend.FieldOps.inv_many`).  Signature batches
     route through ``sign_many`` (RSA's CRT streams batch; randomized
     schemes keep the per-item loop and draw order inside the default).
-    Other kinds loop :func:`serve_request`.
+    Every other kind returns ``None``: the caller runs its per-item loop.
 
-    Error semantics differ by path: the vectorised kinds are all-or-nothing
-    (the first failing item raises the scheme's own exception for the whole
-    batch), while the per-item loop raises :class:`BatchItemFailure`
-    carrying the responses completed before the failure so the caller can
-    reuse them and re-run only the unresolved items.
+    A coalesced batch is all-or-nothing: the first failing item raises the
+    scheme's own exception for the whole batch, and the caller re-runs the
+    batch per item so each request gets its own reply or error frame.
     """
     payloads = list(payloads)
     if kind == "key-agreement":
@@ -198,8 +179,7 @@ def serve_request_batch(
         # Channel handshakes coalesce exactly like one-shot key agreements:
         # one key_agreement_many call per batch, shared batch inversions,
         # fixed-base tables amortising across every concurrent CHAN_OPEN.
-        # KEM-bootstrap schemes (no key agreement) fall through to the
-        # per-item decrypt loop below.
+        # KEM-bootstrap schemes (no key agreement) take the per-item loop.
         return [
             (protocol.OP_CHAN_ACCEPT, secret)
             for secret in scheme.key_agreement_many(server_key, payloads)
@@ -209,15 +189,7 @@ def serve_request_batch(
             (OP_SIGNATURE, signature)
             for signature in scheme.sign_many(server_key, payloads)
         ]
-    results = []
-    for index, payload in enumerate(payloads):
-        try:
-            results.append(serve_request(scheme, server_key, kind, payload))
-        except Exception as exc:  # noqa: BLE001 - partials travel with it
-            raise BatchItemFailure(
-                results + [None] * (len(payloads) - index)
-            ) from exc
-    return results
+    return None
 
 
 # -- the canonical offline sessions -------------------------------------------

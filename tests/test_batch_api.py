@@ -2,36 +2,30 @@
 
 Covers the :class:`~repro.field.backend.FieldOps` array methods on every
 backend (per-item loop equivalence, empty and singleton batches, mixed
-exponent widths, exponents 0/1 and negatives), the native kernel's
-one-call batched powmod, the ``REPRO_BATCH_API`` escape hatch, the
-``exponentiate_many`` seam, scheme-level batch-vs-loop byte identity for
-every registry scheme on every backend, the serve scheduler's partial-
-failure salvage, and the hash-cached kernel artifact reuse across fresh
-processes.
+exponent widths, exponents 0/1 and negatives), the resident-Montgomery
+shared-base table, the ``exponentiate_many`` seam, scheme-level
+batch-vs-loop byte identity for every registry scheme on every backend,
+and the serve scheduler's batch routing: which kinds coalesce, and the
+per-item loop that answers every request of a mixed good/bad batch once.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from repro.errors import ParameterError
 from repro.field import PrimeField
-from repro.field.backend import BATCH_API_ENV_VAR, batch_api_enabled, get_backend
-from repro.field.native import native_substrate_name
 from repro.pkc import get_scheme
 from repro.pkc.base import KEY_AGREEMENT, SIGNATURE
 from repro.pkc.registry import available_schemes
 
 P32 = 2494740737  # toy-32 CEILIDH prime (p = 2 mod 9)
-P127 = (1 << 127) - 1  # multi-word: exercises the kernel's limb paths
+P127 = (1 << 127) - 1  # multi-word: exercises the Montgomery word paths
+P170 = 1109485483118704838530651968604888341434144398802927  # ceilidh-170 p
 
-BACKENDS = ("plain", "montgomery", "native", "word-counting")
-WIRE_BACKENDS = ("plain", "montgomery", "native")
+BACKENDS = ("plain", "montgomery", "word-counting")
 
 
 def _fields(p):
@@ -45,7 +39,7 @@ def _fields(p):
 
 
 class TestFieldOpsBatch:
-    @pytest.mark.parametrize("p", [P32, P127])
+    @pytest.mark.parametrize("p", [P32, P127, P170])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pairwise_many_match_loops(self, backend, p):
         field = PrimeField(p, check_prime=False, backend=backend)
@@ -57,7 +51,7 @@ class TestFieldOpsBatch:
         assert field.backend.mul_many(a, b) == [field.mul(x, y) for x, y in zip(a, b)]
         assert field.backend.sqr_many(a) == [field.sqr(x) for x in a]
 
-    @pytest.mark.parametrize("p", [P32, P127])
+    @pytest.mark.parametrize("p", [P32, P127, P170])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pow_many_matches_loop(self, backend, p):
         field = PrimeField(p, check_prime=False, backend=backend)
@@ -69,7 +63,7 @@ class TestFieldOpsBatch:
             field.pow(base, e) for base, e in zip(bases, exponents)
         ]
 
-    @pytest.mark.parametrize("p", [P32, P127])
+    @pytest.mark.parametrize("p", [P32, P127, P170])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pow_many_shared_base_matches_loop(self, backend, p):
         field = PrimeField(p, check_prime=False, backend=backend)
@@ -91,6 +85,22 @@ class TestFieldOpsBatch:
         ]
         assert field.pow_many_shared_base(bases[0], exponents) == [
             field.pow(bases[0], e) for e in exponents
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_values_match_python_pow(self, backend):
+        # An oracle outside the field layer: whatever path each backend's
+        # batch methods take, the exited values are Python's pow.
+        field = PrimeField(P170, check_prime=False, backend=backend)
+        rng = random.Random(48)
+        base = rng.randrange(2, P170)
+        bases = [rng.randrange(1, P170) for _ in range(5)]
+        exponents = [rng.getrandbits(90) for _ in range(5)]
+        shared = field.pow_many_shared_base(field.enter(base), exponents)
+        many = field.pow_many([field.enter(b) for b in bases], exponents)
+        assert [field.exit(v) for v in shared] == [pow(base, e, P170) for e in exponents]
+        assert [field.exit(v) for v in many] == [
+            pow(b, e, P170) for b, e in zip(bases, exponents)
         ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -129,125 +139,7 @@ class TestFieldOpsBatch:
             base, exponents
         )
 
-
-# ---------------------------------------------------------------------------
-# The native kernel's one-call batched powmod.
-# ---------------------------------------------------------------------------
-
-
-kernel_only = pytest.mark.skipif(
-    native_substrate_name() != "fios-c", reason="compiled FIOS kernel not active"
-)
-
-
-@kernel_only
-class TestKernelPowmodBatch:
-    def _kernel(self):
-        from repro.field.native import load_fios_kernel
-
-        return load_fios_kernel()
-
-    def test_batch_matches_python_pow(self):
-        kernel = self._kernel()
-        rng = random.Random(46)
-        for p in (P32, P127, (1 << 255) - 19):
-            bases = [rng.randrange(p) for _ in range(5)] + [0, 1, p - 1]
-            exps = [rng.getrandbits(bits) for bits in (3, 64, 130, 200, 17)] + [0, 1, 2]
-            assert kernel.powmod_batch(bases, exps, p) == [
-                pow(base, e, p) for base, e in zip(bases, exps)
-            ]
-
-    def test_batch_is_one_native_call(self, monkeypatch):
-        kernel = self._kernel()
-        calls = {"batch": 0}
-        real = kernel._lib.repro_fios_powmod_batch
-
-        def counting(*args):
-            calls["batch"] += 1
-            return real(*args)
-
-        monkeypatch.setattr(kernel._lib, "repro_fios_powmod_batch", counting)
-        rng = random.Random(47)
-        bases = [rng.randrange(P127) for _ in range(16)]
-        exps = [rng.getrandbits(120) for _ in range(16)]
-        expected = [pow(base, e, P127) for base, e in zip(bases, exps)]
-        assert kernel.powmod_batch(bases, exps, P127) == expected
-        assert calls["batch"] == 1  # N ladders, ONE ctypes crossing
-
-    def test_batch_validation(self):
-        kernel = self._kernel()
-        assert kernel.powmod_batch([], [], P32) == []
-        with pytest.raises(ValueError):
-            kernel.powmod_batch([1, 2], [3], P32)
-        with pytest.raises(ValueError):
-            kernel.powmod_batch([2], [-1], P32)
-
-
-@kernel_only
-def test_kernel_artifact_reused_across_fresh_processes(tmp_path):
-    """Two fresh interpreters resolve the substrate onto ONE cached artifact.
-
-    The artifact file name is the hash of the kernel source, so a second
-    process must find (not rebuild) the first one's shared object: same
-    path, unchanged mtime.
-    """
-    script = (
-        "from repro.field.native import resolve_substrate\n"
-        "name, handle = resolve_substrate()\n"
-        "assert name == 'fios-c', name\n"
-        "print(handle.path)\n"
-    )
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_NATIVE_KERNEL", None)
-
-    def run_once():
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=180, env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        return result.stdout.strip()
-
-    first = run_once()
-    assert os.path.exists(first)
-    mtime = os.path.getmtime(first)
-    second = run_once()
-    assert second == first
-    assert os.path.getmtime(first) == mtime  # reused, not rebuilt
-
-
-# ---------------------------------------------------------------------------
-# The REPRO_BATCH_API escape hatch.
-# ---------------------------------------------------------------------------
-
-
-class TestBatchApiToggle:
-    def test_parsing(self, monkeypatch):
-        monkeypatch.delenv(BATCH_API_ENV_VAR, raising=False)
-        assert batch_api_enabled()
-        for value in ("0", "off", "no", "false", "OFF", "No"):
-            monkeypatch.setenv(BATCH_API_ENV_VAR, value)
-            assert not batch_api_enabled()
-        for value in ("1", "on", "yes", "anything"):
-            monkeypatch.setenv(BATCH_API_ENV_VAR, value)
-            assert batch_api_enabled()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_off_never_changes_values(self, backend, monkeypatch):
-        field = PrimeField(P127, check_prime=False, backend=backend)
-        rng = random.Random(48)
-        base = field.enter(rng.randrange(2, P127))
-        bases = [field.enter(rng.randrange(1, P127)) for _ in range(5)]
-        exponents = [rng.getrandbits(90) for _ in range(5)]
-        on_shared = field.pow_many_shared_base(base, exponents)
-        on_many = field.pow_many(bases, exponents)
-        monkeypatch.setenv(BATCH_API_ENV_VAR, "off")
-        assert field.pow_many_shared_base(base, exponents) == on_shared
-        assert field.pow_many(bases, exponents) == on_many
-
-    def test_off_disables_shared_table(self, monkeypatch):
+    def test_montgomery_shared_base_builds_one_table(self, monkeypatch):
         from repro.exp import strategies
 
         calls = {"tables": 0}
@@ -260,14 +152,10 @@ class TestBatchApiToggle:
 
         monkeypatch.setattr(strategies, "FixedBaseTable", Counting)
         # The resident-Montgomery backend is the one whose shared-base path
-        # builds a fixed-base table; off must keep it on the per-item loop.
+        # builds a fixed-base table: one for the whole batch.
         field = PrimeField(P127, check_prime=False, backend="montgomery")
         base = field.enter(3)
         exponents = [random.Random(49).getrandbits(80) for _ in range(4)]
-        monkeypatch.setenv(BATCH_API_ENV_VAR, "off")
-        field.pow_many_shared_base(base, exponents)
-        assert calls["tables"] == 0
-        monkeypatch.setenv(BATCH_API_ENV_VAR, "on")
         field.pow_many_shared_base(base, exponents)
         assert calls["tables"] == 1
 
@@ -278,14 +166,11 @@ class TestBatchApiToggle:
 
 
 class TestExponentiateMany:
-    def test_matches_per_item_and_groups_shared_bases(self, monkeypatch):
+    def test_matches_per_item_and_groups_shared_bases(self):
         from repro.exp.group import FieldExpGroup
         from repro.exp.strategies import exponentiate, exponentiate_many
         from repro.exp.trace import OpTrace
 
-        # The squaring-reduction claim needs the batch API on (a
-        # REPRO_BATCH_API=off environment degrades to the per-item loop).
-        monkeypatch.setenv(BATCH_API_ENV_VAR, "on")
         group = FieldExpGroup(PrimeField(P127, check_prime=False))
         rng = random.Random(50)
         shared = rng.randrange(2, P127)
@@ -302,6 +187,31 @@ class TestExponentiateMany:
         for base, e in zip(bases, exponents):
             exponentiate(group, base, e, trace=looped)
         assert batched.squarings < looped.squarings
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_python_pow_on_every_backend(self, backend):
+        from repro.exp.group import FieldExpGroup
+        from repro.exp.strategies import exponentiate_many
+
+        field = PrimeField(P127, check_prime=False, backend=backend)
+        group = FieldExpGroup(field)
+        rng = random.Random(56)
+        shared, other, narrow = (rng.randrange(2, P127) for _ in range(3))
+        # A shared base with wide and negative exponents (one table), a
+        # shared base whose exponents are all too narrow for a table, and a
+        # lone base: every guard of the shared-base path on one call.
+        plan = [
+            (shared, rng.getrandbits(120)),
+            (narrow, 5),
+            (shared, -rng.getrandbits(70)),
+            (other, rng.getrandbits(100)),
+            (narrow, 0),
+            (shared, 1),
+        ]
+        results = exponentiate_many(
+            group, [field.enter(b) for b, _ in plan], [e for _, e in plan]
+        )
+        assert [field.exit(v) for v in results] == [pow(b, e, P127) for b, e in plan]
 
     def test_length_mismatch_and_empty(self):
         from repro.exp.group import FieldExpGroup
@@ -333,7 +243,7 @@ class TestExponentiateMany:
 
 
 class TestSchemeBatchDifferential:
-    @pytest.mark.parametrize("backend", WIRE_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", available_schemes())
     def test_key_agreement_with_many_matches_loop(self, name, backend):
         scheme = get_scheme(name, fresh=True, backend=backend)
@@ -349,7 +259,7 @@ class TestSchemeBatchDifferential:
         assert scheme.key_agreement_with_many([], server.public_wire) == []
         assert scheme.key_agreement_with_many(clients[:1], server.public_wire) == batched[:1]
 
-    @pytest.mark.parametrize("backend", WIRE_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", available_schemes())
     def test_sign_many_matches_loop(self, name, backend):
         scheme = get_scheme(name, fresh=True, backend=backend)
@@ -385,28 +295,13 @@ class TestSchemeBatchDifferential:
         assert coalesced.coalesced and coalesced.batch_size == 4
         assert loop.batch_size is None
 
-    def test_batch_api_off_keeps_wire_identical(self, monkeypatch):
-        from repro.pkc.bench import run_batch
-
-        on = run_batch(
-            get_scheme("ceilidh-170", fresh=True), "key-agreement", 4,
-            rng=random.Random(56), coalesce=True,
-        )
-        monkeypatch.setenv(BATCH_API_ENV_VAR, "off")
-        off = run_batch(
-            get_scheme("ceilidh-170", fresh=True), "key-agreement", 4,
-            rng=random.Random(56), coalesce=True,
-        )
-        assert on.wire_bytes == off.wire_bytes
-        assert on.sessions == off.sessions
-
 
 # ---------------------------------------------------------------------------
-# Serve: batch routing and partial-failure salvage.
+# Serve: which kinds coalesce, and the per-item loop for the rest.
 # ---------------------------------------------------------------------------
 
 
-class TestServeBatchSalvage:
+class TestServeBatchRouting:
     def _scheme_and_key(self, name="ecdh-p160"):
         scheme = get_scheme(name, fresh=True)
         return scheme, scheme.keygen(random.Random(57))
@@ -421,26 +316,72 @@ class TestServeBatchSalvage:
             serve_request(scheme, server, "sign", payload) for payload in payloads
         ]
 
-    def test_partial_failure_carries_completed_items(self):
-        from repro.serve.session import BatchItemFailure, serve_request, serve_request_batch
+    def test_kind_without_batch_entry_point_is_not_coalesced(self):
+        from repro.serve.session import serve_request_batch
 
         scheme, server = self._scheme_and_key()
         good = scheme.encrypt(server.public_wire, b"ok", random.Random(58))
-        payloads = [good, b"\x00garbage", good]
-        with pytest.raises(BatchItemFailure) as excinfo:
-            serve_request_batch(scheme, server, "decrypt", payloads)
-        partial = excinfo.value.partial
-        assert len(partial) == 3
-        assert partial[0] == serve_request(scheme, server, "decrypt", good)
-        assert partial[1] is None and partial[2] is None
+        assert serve_request_batch(scheme, server, "decrypt", [good, good]) is None
 
-    def test_execute_batch_salvages_and_skips_reexecution(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, name, coalesces",
+        [
+            ("key-agreement", "ecdh-p160", True),
+            ("channel-secret", "ceilidh-toy32", True),
+            ("channel-secret", "rsa-512", False),
+            ("sign", "rsa-512", True),
+            ("encrypt", "ecdh-p160", False),
+            ("decrypt", "rsa-512", False),
+            ("verify", "ecdh-p160", False),
+        ],
+    )
+    def test_batch_routing_by_kind(self, kind, name, coalesces):
+        """Exactly the kinds with a batch entry point coalesce — key
+        agreement, the key-agreement channel bootstrap and sign — each
+        byte-identical to its per-item replies; every other kind (the KEM
+        bootstrap included) returns ``None``."""
+        from repro.serve.protocol import pack_verify
+        from repro.serve.session import serve_request, serve_request_batch
+
+        scheme, server = self._scheme_and_key(name)
+        rng = random.Random(61)
+        if kind in ("key-agreement", "channel-secret") and coalesces:
+            payloads = [scheme.keygen(rng).public_wire for _ in range(3)]
+        elif kind in ("channel-secret", "decrypt"):
+            payloads = [
+                scheme.encrypt(server.public_wire, bytes([i]) * 32, rng) for i in range(3)
+            ]
+        elif kind == "verify":
+            payloads = [
+                pack_verify(message, scheme.sign(server, message, rng))
+                for message in (b"a", b"b", b"c")
+            ]
+        else:
+            payloads = [b"payload-%d" % i for i in range(3)]
+        batched = serve_request_batch(scheme, server, kind, payloads)
+        if not coalesces:
+            assert batched is None
+            return
+        assert batched == [
+            serve_request(scheme, server, kind, payload) for payload in payloads
+        ]
+
+    @pytest.mark.parametrize("kind", ["decrypt", "key-agreement", "channel-secret"])
+    def test_execute_batch_runs_each_item_once(self, kind, monkeypatch):
+        """A decrypt batch never coalesces; a key-agreement or channel
+        bootstrap batch coalesces, raises on the garbage item and falls
+        back.  Either way the per-item loop runs each request of ``[good,
+        garbage, good]`` exactly once and each answers on its own."""
         from repro.serve import scheduler as sched
 
         scheme, server = self._scheme_and_key()
-        good = scheme.encrypt(server.public_wire, b"ok", random.Random(59))
+        rng = random.Random(59)
+        if kind == "decrypt":
+            good = scheme.encrypt(server.public_wire, b"ok", rng)
+        else:
+            good = scheme.keygen(rng).public_wire
         payloads = [good, b"\x00garbage", good]
-        expected_ok = sched.serve_request(scheme, server, "decrypt", good)
+        expected_ok = sched.serve_request(scheme, server, kind, good)
 
         calls = {"per_item": 0}
         real = sched.serve_request
@@ -450,13 +391,9 @@ class TestServeBatchSalvage:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sched, "serve_request", counting)
-        results, busy, coalesced, salvaged = sched._execute_batch(
-            scheme, server, "decrypt", payloads
-        )
+        results, busy, coalesced = sched._execute_batch(scheme, server, kind, payloads)
         assert not coalesced
-        assert salvaged == 1  # item 0 reused from the failed coalesced pass
-        # Only the unresolved slots (indices 1 and 2) re-executed.
-        assert calls["per_item"] == 2
+        assert calls["per_item"] == 3
         assert results[0] == (True,) + expected_ok
         assert results[0] == results[2]
         ok, code, detail = results[1]
@@ -468,14 +405,8 @@ class TestServeBatchSalvage:
         scheme, server = self._scheme_and_key()
         rng = random.Random(60)
         payloads = [scheme.keygen(rng).public_wire for _ in range(4)]
-        results, busy, coalesced, salvaged = _execute_batch(
+        results, busy, coalesced = _execute_batch(
             scheme, server, "key-agreement", payloads
         )
-        assert coalesced and salvaged == 0
+        assert coalesced
         assert all(ok for ok, _, _ in results)
-
-    def test_group_stats_salvaged_counter_exists(self):
-        from repro.serve.scheduler import GroupStats
-
-        stats = GroupStats()
-        assert stats.salvaged == 0

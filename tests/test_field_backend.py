@@ -48,6 +48,11 @@ class TestBackendContract:
         with pytest.raises(ParameterError):
             get_backend("nonsense")
 
+    def test_field_rejects_unknown_backend_name(self):
+        for name in ("native", "gmpy2"):
+            with pytest.raises(ParameterError, match="available"):
+                PrimeField(P32, check_prime=False, backend=name)
+
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
         assert default_backend_name() == "plain"
@@ -297,31 +302,39 @@ class TestWordCounting:
 class TestCrossBackendDifferential:
     @pytest.mark.parametrize("name", available_schemes())
     def test_wire_output_identical_plain_vs_montgomery(self, name):
+        self._assert_wire_identical(name, "montgomery")
+
+    @pytest.mark.parametrize("name", available_schemes())
+    def test_wire_output_identical_plain_vs_word_counting(self, name):
+        self._assert_wire_identical(name, "word-counting")
+
+    @staticmethod
+    def _assert_wire_identical(name, backend):
         plain = get_scheme(name, fresh=True, backend="plain")
-        mont = get_scheme(name, fresh=True, backend="montgomery")
+        other = get_scheme(name, fresh=True, backend=backend)
         rng_p, rng_m = random.Random(4242), random.Random(4242)
-        key_p, key_m = plain.keygen(rng_p), mont.keygen(rng_m)
+        key_p, key_m = plain.keygen(rng_p), other.keygen(rng_m)
         assert key_p.public_wire == key_m.public_wire
         if KEY_AGREEMENT in plain.capabilities:
-            peer_p, peer_m = plain.keygen(rng_p), mont.keygen(rng_m)
+            peer_p, peer_m = plain.keygen(rng_p), other.keygen(rng_m)
             assert peer_p.public_wire == peer_m.public_wire
             secret_p = plain.key_agreement(key_p, peer_p.public_wire)
-            secret_m = mont.key_agreement(key_m, peer_m.public_wire)
+            secret_m = other.key_agreement(key_m, peer_m.public_wire)
             assert secret_p == secret_m
-            # ... and the montgomery scheme interoperates with itself.
-            assert mont.key_agreement(peer_m, key_m.public_wire) == secret_m
+            # ... and the other backend interoperates with itself.
+            assert other.key_agreement(peer_m, key_m.public_wire) == secret_m
         if ENCRYPTION in plain.capabilities:
             message = b"backend differential message"
             ct_p = plain.encrypt(key_p.public_wire, message, rng_p)
-            ct_m = mont.encrypt(key_m.public_wire, message, rng_m)
+            ct_m = other.encrypt(key_m.public_wire, message, rng_m)
             assert ct_p == ct_m
-            assert mont.decrypt(key_m, ct_m) == message
+            assert other.decrypt(key_m, ct_m) == message
         if SIGNATURE in plain.capabilities:
             message = b"backend differential signature"
             sig_p = plain.sign(key_p, message, rng_p)
-            sig_m = mont.sign(key_m, message, rng_m)
+            sig_m = other.sign(key_m, message, rng_m)
             assert sig_p == sig_m
-            assert mont.verify(key_m.public_wire, message, sig_m)
+            assert other.verify(key_m.public_wire, message, sig_m)
             assert plain.verify(key_p.public_wire, message, sig_m)
 
 
@@ -408,8 +421,14 @@ class TestRegistryBackends:
         assert scheme.field_backend.name == "montgomery"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError):
-            get_scheme("ceilidh-toy32", backend="abacus")
+        for name in ("abacus", "native"):
+            with pytest.raises(ParameterError, match="available"):
+                get_scheme("ceilidh-toy32", backend=name)
+
+    def test_env_var_unknown_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FIELD_BACKEND", "native")
+        with pytest.raises(ParameterError, match="available"):
+            get_scheme("ceilidh-toy32", fresh=True)
 
     def test_run_batch_accepts_scheme_name_and_backend(self):
         from repro.pkc.bench import run_batch
@@ -472,7 +491,7 @@ class TestRegistryBackends:
 class TestInvMany:
     P = 2**89 - 1  # a Mersenne prime comfortably above the toy sizes
 
-    @pytest.mark.parametrize("backend", ["plain", "montgomery", "native"])
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
     def test_matches_singles(self, backend):
         from repro.field.fp import PrimeField
 
@@ -484,7 +503,7 @@ class TestInvMany:
         assert batch == singles
         assert batch == [pow(field.exit(v), -1, self.P) for v in values]
 
-    @pytest.mark.parametrize("backend", ["plain", "montgomery", "native"])
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
     def test_empty_and_single(self, backend):
         from repro.field.fp import PrimeField
 
@@ -495,7 +514,7 @@ class TestInvMany:
             field.exit(field.inv(value))
         ]
 
-    @pytest.mark.parametrize("backend", ["plain", "montgomery", "native"])
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
     def test_zero_anywhere_raises(self, backend):
         from repro.errors import NotInvertibleError
         from repro.field.fp import PrimeField
@@ -559,155 +578,12 @@ class TestInvMany:
 
 
 # ---------------------------------------------------------------------------
-# Native backend: substrate resolution, degradation, differentials.
-# ---------------------------------------------------------------------------
-
-
-class TestNativeBackend:
-    def test_substrate_report_is_consistent(self):
-        from repro.field.backend import NativeBackend
-        from repro.field.native import native_substrate_name
-
-        backend = NativeBackend()
-        assert backend.substrate in (None, "gmpy2", "fios-c")
-        assert backend.substrate == native_substrate_name()
-
-    def test_resident_arithmetic_matches_plain(self):
-        from repro.field.fp import PrimeField
-
-        p = 2**127 - 1
-        plain, native = PrimeField(p), PrimeField(p, backend="native")
-        rng = random.Random(17)
-        for _ in range(25):
-            a, b = rng.randrange(1, p), rng.randrange(1, p)
-            e = rng.randrange(1, p)
-            assert native.exit(native.mul(native.enter(a), native.enter(b))) == plain.mul(a, b)
-            assert native.exit(native.inv(native.enter(a))) == plain.inv(a)
-            assert native.exit(native.pow(native.enter(a), e)) == pow(a, e, p)
-            assert native.exit(native.pow(native.enter(a), -e)) == pow(a, -e, p)
-
-    def test_degrades_to_plain_with_one_warning(self, monkeypatch, caplog):
-        import logging
-
-        from repro.field import backend as backend_mod
-        from repro.field.backend import NativeBackend, PlainFieldOps
-        from repro.field import native as native_mod
-
-        monkeypatch.setattr(native_mod, "resolve_substrate", lambda: (None, None))
-        monkeypatch.setattr(NativeBackend, "_warned", False)
-        with caplog.at_level(logging.WARNING, logger="repro.field.native"):
-            degraded = NativeBackend()
-            NativeBackend()  # second construction must not warn again
-        assert degraded.substrate is None
-        assert type(degraded.bind(97)) is PlainFieldOps
-        warnings = [r for r in caplog.records if "degrading" in r.message]
-        assert len(warnings) == 1
-
-    def test_degraded_native_shares_registry_cache_with_plain(self, monkeypatch):
-        from repro.field import native as native_mod
-        from repro.field.backend import canonical_backend_name
-
-        monkeypatch.setattr(native_mod, "native_substrate_name", lambda: None)
-        assert canonical_backend_name("native") == "plain"
-        monkeypatch.setenv("REPRO_FIELD_BACKEND", "native")
-        via_env = get_scheme("ceilidh-toy32")
-        explicit_plain = get_scheme("ceilidh-toy32", backend="plain")
-        assert via_env is explicit_plain
-
-    def test_live_native_gets_its_own_cache_slot(self):
-        from repro.field.backend import canonical_backend_name
-        from repro.field.native import native_substrate_name
-
-        if native_substrate_name() is None:
-            pytest.skip("no native substrate available")
-        assert canonical_backend_name("native") == "native"
-        native = get_scheme("ceilidh-toy32", backend="native")
-        plain = get_scheme("ceilidh-toy32", backend="plain")
-        assert native is not plain
-        assert native is get_scheme("ceilidh-toy32", backend="native")
-
-    @pytest.mark.parametrize("name", available_schemes())
-    def test_wire_output_identical_plain_vs_native(self, name):
-        plain = get_scheme(name, fresh=True, backend="plain")
-        native = get_scheme(name, fresh=True, backend="native")
-        rng_p, rng_n = random.Random(9393), random.Random(9393)
-        key_p, key_n = plain.keygen(rng_p), native.keygen(rng_n)
-        assert key_p.public_wire == key_n.public_wire
-        if KEY_AGREEMENT in plain.capabilities:
-            peer_p, peer_n = plain.keygen(rng_p), native.keygen(rng_n)
-            assert peer_p.public_wire == peer_n.public_wire
-            secret_p = plain.key_agreement(key_p, peer_p.public_wire)
-            secret_n = native.key_agreement(key_n, peer_n.public_wire)
-            assert secret_p == secret_n
-            assert native.key_agreement(peer_n, key_n.public_wire) == secret_n
-        if ENCRYPTION in plain.capabilities:
-            message = b"native backend differential message"
-            ct_p = plain.encrypt(key_p.public_wire, message, rng_p)
-            ct_n = native.encrypt(key_n.public_wire, message, rng_n)
-            assert ct_p == ct_n
-            assert native.decrypt(key_n, ct_n) == message
-        if SIGNATURE in plain.capabilities:
-            message = b"native backend differential signature"
-            sig_p = plain.sign(key_p, message, rng_p)
-            sig_n = native.sign(key_n, message, rng_n)
-            assert sig_p == sig_n
-            assert native.verify(key_n.public_wire, message, sig_n)
-            assert plain.verify(key_p.public_wire, message, sig_n)
-
-
-class TestFiosKernel:
-    @pytest.fixture(scope="class")
-    def kernel(self):
-        from repro.field.native import load_fios_kernel
-
-        kernel = load_fios_kernel()
-        if kernel is None:
-            pytest.skip("no C compiler available for the FIOS kernel")
-        return kernel
-
-    def test_powmod_differential(self, kernel):
-        rng = random.Random(23)
-        for bits in (89, 170, 521, 1024):
-            p = _random_odd_modulus(rng, bits)
-            for _ in range(5):
-                base = rng.randrange(0, p)
-                exponent = rng.randrange(0, 1 << bits)
-                assert kernel.powmod(base, exponent, p) == pow(base, exponent, p)
-
-    def test_edge_exponents(self, kernel):
-        p = 2**127 - 1
-        assert kernel.powmod(5, 0, p) == 1
-        assert kernel.powmod(0, 5, p) == 0
-        assert kernel.powmod(5, 1, p) == 5
-        assert kernel.powmod(5, p - 1, p) == 1  # Fermat
-
-    def test_support_limits(self, kernel):
-        assert not kernel.supports(2**64)  # even modulus
-        assert not kernel.supports((2**8000) + 1)  # beyond the limb budget
-        assert kernel.supports(2**127 - 1)
-
-    def test_mont_mul_round_trip(self, kernel):
-        p = 2**89 - 1
-        rng = random.Random(29)
-        r = 1 << (64 * ((p.bit_length() + 63) // 64))
-        for _ in range(10):
-            a, b = rng.randrange(p), rng.randrange(p)
-            # mont_mul computes a*b*R^-1; multiply back by R to check.
-            assert kernel.mont_mul(a, b, p) == a * b * pow(r, -1, p) % p
-
-
-def _random_odd_modulus(rng, bits):
-    modulus = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-    return modulus
-
-
-# ---------------------------------------------------------------------------
 # Batch APIs: byte identity with singles, and the inversion collapse.
 # ---------------------------------------------------------------------------
 
 
 class TestBatchProtocolIdentity:
-    @pytest.mark.parametrize("backend", ["plain", "native"])
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
     @pytest.mark.parametrize("name", ["ecdh-p160", "ceilidh-toy32", "xtr-toy32"])
     def test_keygen_many_matches_singles(self, name, backend):
         singles_scheme = get_scheme(name, fresh=True, backend=backend)
@@ -718,7 +594,7 @@ class TestBatchProtocolIdentity:
         batch = batch_scheme.keygen_many(5, rng_b)
         assert [k.public_wire for k in batch] == [k.public_wire for k in singles]
 
-    @pytest.mark.parametrize("backend", ["plain", "native"])
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
     @pytest.mark.parametrize("name", ["ecdh-p160", "ceilidh-toy32"])
     def test_key_agreement_many_matches_singles(self, name, backend):
         scheme = get_scheme(name, fresh=True, backend=backend)
@@ -787,12 +663,8 @@ class TestBatchInversionCollapse:
         with pytest.raises(ReproError):
             serve_request_batch(scheme, server, "key-agreement", payloads)
 
-    def test_run_batch_coalesced_matches_loop(self, monkeypatch):
+    def test_run_batch_coalesced_matches_loop(self):
         from repro.pkc.bench import run_batch
-
-        # The group-op reduction below comes from the shared fixed-base
-        # table, which a REPRO_BATCH_API=off environment disables.
-        monkeypatch.setenv("REPRO_BATCH_API", "on")
 
         loop = run_batch(
             get_scheme("ecdh-p160", fresh=True), "key-agreement", 5,

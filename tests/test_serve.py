@@ -2,8 +2,8 @@
 
 Every protocol a scheme supports is driven through a real loopback server
 with the client half executing locally (the same split the load harness
-measures); the scheduler's batching, backpressure and executor variants are
-exercised directly; and the registry's thread-safety — which the threaded
+measures); the scheduler's batching and backpressure are exercised
+directly; and the registry's thread-safety — which the threaded
 worker pool depends on — gets a hammering regression test.
 """
 
@@ -220,29 +220,8 @@ class TestScheduler:
 
         assert run(scenario()) == 1
 
-    def test_process_executor_serves_with_the_advertised_key(self):
-        """The pickled long-lived key reaches the workers intact."""
-
-        async def scenario():
-            async with _server(
-                executor="process", workers=2, schemes=("ceilidh-toy32",)
-            ) as server:
-                host, port = server.address
-                report = await run_load(
-                    host, port,
-                    [("ceilidh-toy32", "key-agreement")],
-                    clients=4, sessions_per_client=2,
-                )
-                return report
-
-        report = run(scenario())
-        assert report.total_errors == 0
-        assert report.total_sessions == 8
-
     def test_rejects_bad_configuration(self):
         host = SchemeHost(schemes=("ceilidh-toy32",))
-        with pytest.raises(ParameterError):
-            BatchScheduler(host, executor="fiber")
         with pytest.raises(ParameterError):
             BatchScheduler(host, max_batch=0)
         with pytest.raises(ParameterError):

@@ -137,9 +137,7 @@ class TestLoadPlan:
 
 
 class TestClusterConfiguration:
-    def test_rejects_process_executor_and_bad_modes(self):
-        with pytest.raises(ParameterError):
-            ClusterSupervisor(workers=2, executor="process")
+    def test_rejects_bad_worker_count_and_mode(self):
         with pytest.raises(ParameterError):
             ClusterSupervisor(workers=0)
         with pytest.raises(ParameterError):
