@@ -11,9 +11,9 @@ Walks the stateful session layer end to end against an in-process
 2. **Stream authenticated records.**  Every record binds a monotonic
    sequence number and the channel epoch into its tag; the client rekeys
    transparently after a small budget, invisible except as a counter.
-3. **Drive a seeded traffic mix** (`zipf-bursty`) and print the number the
-   subsystem exists for: steady-state records per second over the one-shot
-   key-agreement rate — the amortisation a session layer buys.
+3. **Drive a seeded traffic mix** (`zipf-bursty`) and print the latency
+   split the subsystem exists for: a handshake (one public-key operation)
+   against a steady-state record (symmetric crypto only).
 
 Run:  python examples/pkc_channel_demo.py
 """
@@ -80,12 +80,6 @@ async def demo() -> None:
         steady = report.steady_state_histogram()
         print(f"  handshake p50 {handshake.percentile(0.5) * 1e3:.2f} ms vs "
               f"steady-state record p50 {steady.percentile(0.5) * 1e3:.2f} ms")
-        for scheme in mix.schemes:
-            records = report.rate_of(scheme, "channel-message")
-            oneshot = report.rate_of(scheme, "key-agreement")
-            if records and oneshot:
-                print(f"  {scheme}: {records:.0f} records/s vs {oneshot:.1f} "
-                      f"one-shot KA/s — amortisation x{records / oneshot:.0f}")
     finally:
         await server.stop()
 

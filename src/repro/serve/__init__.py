@@ -14,10 +14,10 @@ registry → **serve**): everything the offline harness measures with
   backpressure, same-scheme batching (the amortisation story, online) and a
   thread pool for the CPU-bound group arithmetic;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio TCP
-  server and the load-generator client;
-* ``python -m repro.serve serve|load`` — run a server, or drive one with N
-  concurrent clients and land throughput + latency percentiles in
-  ``BENCH_pkc.json`` under ``serve:`` keys.
+  server and the verifying client (one connection, full sessions);
+* ``python -m repro.serve serve|cluster|load`` — run a server or cluster,
+  or drive one through the traffic engine (:mod:`repro.traffic`) and land
+  throughput + latency percentiles in ``BENCH_pkc.json``.
 
 This module keeps its imports light (protocol + session only); the server,
 client and scheduler — which pull in the whole PKC stack — load lazily on
@@ -54,11 +54,6 @@ __all__ = [
     # lazily loaded:
     "ServeServer",
     "ServeClient",
-    "run_load",
-    "LoadReport",
-    "LoadEntry",
-    "LoadPlan",
-    "LoadPhase",
     "BatchScheduler",
     "SchemeHost",
     "ClusterSupervisor",
@@ -69,11 +64,6 @@ __all__ = [
 _LAZY = {
     "ServeServer": ("repro.serve.server", "ServeServer"),
     "ServeClient": ("repro.serve.client", "ServeClient"),
-    "run_load": ("repro.serve.client", "run_load"),
-    "LoadReport": ("repro.serve.client", "LoadReport"),
-    "LoadEntry": ("repro.serve.client", "LoadEntry"),
-    "LoadPlan": ("repro.serve.client", "LoadPlan"),
-    "LoadPhase": ("repro.serve.client", "LoadPhase"),
     "BatchScheduler": ("repro.serve.scheduler", "BatchScheduler"),
     "SchemeHost": ("repro.serve.scheduler", "SchemeHost"),
     "ClusterSupervisor": ("repro.serve.cluster", "ClusterSupervisor"),

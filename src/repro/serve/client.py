@@ -1,4 +1,4 @@
-"""The serving client and the concurrent load generator.
+"""The serving client: one connection, full verified protocol sessions.
 
 :class:`ServeClient` is one connection speaking the framed protocol: it
 negotiates a scheme by registry name, keeps the server's long-lived public
@@ -7,14 +7,11 @@ client-side derivation, hybrid encryption, signature verification) executes
 locally through the same registry instance the offline harness uses — so
 one online session performs exactly the work of one
 :mod:`repro.serve.session` offline session, split across the socket.
+:class:`ChannelSession` is the client end of one stateful secure channel
+on such a connection.
 
-:func:`run_load` is the measuring harness: N concurrent clients (one
-connection each) drive one ``(scheme, operation)`` mix entry at a time —
-all clients hammering the same scheme concurrently is precisely what lets
-the server-side scheduler fill same-scheme batches — and every request's
-round-trip latency lands in a :class:`~repro.perf.latency.LatencyHistogram`
-per entry.  An ``OP_OVERLOADED`` answer (bounded-queue backpressure) is
-retried after a short pause and counted, never silently dropped.
+The load generator that drives many of these clients at once is
+:func:`repro.traffic.run_traffic`.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.audit.annotations import Secret
 from repro.errors import (
@@ -39,7 +35,6 @@ from repro.errors import (
     UnknownChannelError,
     UnsupportedOperationError,
 )
-from repro.perf.latency import LatencyHistogram
 from repro.serve import protocol
 from repro.serve.channel import (
     CLIENT_TO_SERVER,
@@ -92,24 +87,19 @@ from repro.serve.protocol import (
 __all__ = [
     "ServeClient",
     "ChannelSession",
-    "LoadEntry",
-    "LoadReport",
-    "LoadPhase",
-    "LoadPlan",
-    "run_load",
     "DEFAULT_PAYLOAD",
 ]
 
 DEFAULT_PAYLOAD = b"served session payload.........."
 
-#: How many times a load-generator request retries after OP_OVERLOADED.
+#: How many times a channel record retries after OP_OVERLOADED.
 OVERLOAD_RETRIES = 200
 #: Pause between overload retries (seconds).
 OVERLOAD_BACKOFF = 0.005
-#: How many times a load-generator session survives a dropped or draining
-#: connection by reconnecting (a cluster routes the new connection to a
-#: live worker).  Sized to ride out a worker crash-restart: backoff plus
-#: the replacement's spawn-and-import time is a couple of seconds.
+#: How many times a session survives a dropped or draining connection by
+#: reconnecting (a cluster routes the new connection to a live worker).
+#: Sized to ride out a worker crash-restart: backoff plus the
+#: replacement's spawn-and-import time is a couple of seconds.
 RECONNECT_RETRIES = 20
 #: Initial pause before a reconnect attempt (seconds; doubles to 0.5).
 RECONNECT_BACKOFF = 0.05
@@ -595,257 +585,3 @@ class ChannelSession:
         if frame.opcode != OP_CHAN_CLOSED:
             raise ProtocolError(f"expected CHAN_CLOSED, got {frame.opcode_name}")
         self.crypto = None
-
-
-#: operation name -> the ServeClient session coroutine that runs it.
-SESSION_METHODS = {
-    "key-agreement": "key_agreement_session",
-    "encryption": "encryption_session",
-    "signature": "signature_session",
-}
-
-
-@dataclass(frozen=True)
-class LoadPhase:
-    """One phase of a traffic plan: a ``(scheme, operation)`` pair with a
-    relative ``weight`` scaling how many sessions each client runs."""
-
-    scheme: str
-    operation: str
-    weight: float = 1.0
-
-    def sessions(self, sessions_per_client: int) -> int:
-        """Per-client session count at the given base rate (at least one)."""
-        return max(1, round(sessions_per_client * self.weight))
-
-
-@dataclass
-class LoadPlan:
-    """A traffic plan: the ordered phases one load run drives.
-
-    The single shared description of load shape — :func:`run_load`, the
-    cluster scaling bench and future traffic models all consume it, so a
-    new mix is one constructor call, not a parallel re-implementation.
-    """
-
-    phases: List[LoadPhase] = field(default_factory=list)
-
-    @classmethod
-    def from_mix(cls, mix: Sequence[Tuple[str, str]]) -> "LoadPlan":
-        """Equal-weight phases from ``(scheme, operation)`` pairs."""
-        return cls([LoadPhase(scheme, operation) for scheme, operation in mix])
-
-    @classmethod
-    def uniform(
-        cls, schemes: Sequence[str], operations: Sequence[str]
-    ) -> "LoadPlan":
-        """The cross product: every operation for every scheme, weight 1."""
-        return cls(
-            [
-                LoadPhase(scheme, operation)
-                for scheme in schemes
-                for operation in operations
-            ]
-        )
-
-    def mix(self) -> List[Tuple[str, str]]:
-        return [(phase.scheme, phase.operation) for phase in self.phases]
-
-    def schemes(self) -> Tuple[str, ...]:
-        """The distinct schemes the plan touches, in first-seen order."""
-        return tuple(dict.fromkeys(phase.scheme for phase in self.phases))
-
-
-@dataclass
-class LoadEntry:
-    """Aggregated outcome of one ``(scheme, operation)`` load phase."""
-
-    scheme: str
-    operation: str
-    sessions: int = 0
-    errors: int = 0
-    overload_rejections: int = 0
-    #: Times a client re-established its connection (worker crash, drain,
-    #: rolling restart) and carried on without a client-visible failure.
-    reconnects: int = 0
-    wall_seconds: float = 0.0
-    histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
-
-    @property
-    def key(self) -> str:
-        return f"{self.scheme}:{self.operation}"
-
-    @property
-    def sessions_per_second(self) -> float:
-        return self.sessions / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-
-@dataclass
-class LoadReport:
-    """Everything one :func:`run_load` run measured."""
-
-    clients: int
-    entries: Dict[str, LoadEntry] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-
-    @property
-    def total_sessions(self) -> int:
-        return sum(entry.sessions for entry in self.entries.values())
-
-    @property
-    def total_errors(self) -> int:
-        return sum(entry.errors for entry in self.entries.values())
-
-    @property
-    def total_overload_rejections(self) -> int:
-        return sum(entry.overload_rejections for entry in self.entries.values())
-
-    @property
-    def total_reconnects(self) -> int:
-        return sum(entry.reconnects for entry in self.entries.values())
-
-
-async def _reestablish(client: ServeClient, entry: LoadEntry, attempts: int) -> None:
-    """(Re)connect and (re)negotiate the phase's scheme, with backoff.
-
-    Rides out the dark window of a worker crash-restart or rolling restart:
-    the replacement worker takes backoff plus spawn time to come up, so
-    connection attempts are retried with doubling pauses until one lands on
-    a live worker."""
-    delay = RECONNECT_BACKOFF
-    last: Optional[BaseException] = None
-    for _ in range(max(1, attempts)):
-        try:
-            if not client.connected:
-                await client.connect()
-            await client.negotiate(entry.scheme)
-            return
-        except (UnavailableError, ProtocolError, OSError) as exc:
-            last = exc
-            await client.close()
-            await asyncio.sleep(delay)
-            delay = min(delay * 2, 0.5)
-    raise ProtocolError(
-        f"could not re-establish a {entry.scheme} session after "
-        f"{attempts} attempts: {last}"
-    )
-
-
-async def _client_phase(
-    client: ServeClient,
-    entry: LoadEntry,
-    sessions: int,
-    payload: bytes,
-    rng=None,
-    reconnect_retries: int = RECONNECT_RETRIES,
-) -> None:
-    """One client's share of one phase: negotiate, then run its sessions.
-
-    Two failure modes are absorbed rather than surfaced: ``OP_OVERLOADED``
-    (bounded-queue backpressure — pause and retry on the same connection)
-    and a dropped or draining connection (cluster worker lifecycle —
-    reconnect, renegotiate, and retry the session on whichever live worker
-    accepts the new connection).  Anything else still raises: a load run
-    with a protocol bug must fail loudly."""
-    try:
-        await client.negotiate(entry.scheme)
-    except (UnavailableError, ProtocolError, OSError):
-        entry.reconnects += 1
-        await client.close()
-        await _reestablish(client, entry, reconnect_retries)
-    for _ in range(sessions):
-        overloads_left = OVERLOAD_RETRIES
-        reconnects_left = reconnect_retries
-        while True:
-            method = getattr(client, SESSION_METHODS[entry.operation])
-            try:
-                if entry.operation == "key-agreement":
-                    latency = await method(rng)
-                else:
-                    latency = await method(payload, rng)
-            except OverloadedError:
-                entry.overload_rejections += 1
-                if overloads_left == 0:
-                    entry.errors += 1
-                    break
-                overloads_left -= 1
-                await asyncio.sleep(OVERLOAD_BACKOFF)
-                continue
-            except (UnavailableError, ProtocolError, OSError):
-                if reconnects_left == 0:
-                    raise
-                reconnects_left -= 1
-                entry.reconnects += 1
-                await client.close()
-                await _reestablish(client, entry, reconnect_retries)
-                continue
-            entry.sessions += 1
-            entry.histogram.add(latency)
-            break
-
-
-async def run_load(
-    host: str,
-    port: int,
-    mix: Optional[Sequence[Tuple[str, str]]] = None,
-    clients: int = 8,
-    sessions_per_client: int = 4,
-    payload: bytes = DEFAULT_PAYLOAD,
-    backend: Optional[str] = None,
-    rng=None,
-    plan: Optional[LoadPlan] = None,
-    reconnect_retries: int = RECONNECT_RETRIES,
-) -> LoadReport:
-    """Drive ``clients`` concurrent connections through every plan phase.
-
-    The traffic shape comes from ``plan`` (a :class:`LoadPlan`) or, for the
-    common equal-weight case, from ``mix`` — a sequence of ``(scheme name,
-    operation)`` pairs.  Phases run one at a time with *all* clients
-    concurrent inside a phase, so the server sees sustained same-scheme
-    pressure and its scheduler can batch.  Connections persist across
-    phases (one HELLO per phase renegotiates).  Failed sessions raise out
-    of the harness — a load run with a protocol bug should fail loudly, not
-    average the bug away; only overload rejections (retried in place) and
-    dropped/draining connections (reconnected, bounded by
-    ``reconnect_retries``) are absorbed, and both are counted on the entry.
-    """
-    if clients < 1:
-        raise ParameterError("the load harness needs at least one client")
-    if plan is None:
-        if mix is None:
-            raise ParameterError("run_load needs a mix or a plan")
-        plan = LoadPlan.from_mix(mix)
-    pool: List[ServeClient] = [
-        ServeClient(host, port, backend=backend) for _ in range(clients)
-    ]
-    report = LoadReport(clients=clients)
-    run_started = time.perf_counter()
-    try:
-        await asyncio.gather(*(client.connect() for client in pool))
-        for phase in plan.phases:
-            entry = report.entries.setdefault(
-                f"{phase.scheme}:{phase.operation}",
-                LoadEntry(phase.scheme, phase.operation),
-            )
-            sessions = phase.sessions(sessions_per_client)
-            phase_started = time.perf_counter()
-            await asyncio.gather(
-                *(
-                    _client_phase(
-                        client,
-                        entry,
-                        sessions,
-                        payload,
-                        rng,
-                        reconnect_retries=reconnect_retries,
-                    )
-                    for client in pool
-                )
-            )
-            entry.wall_seconds += time.perf_counter() - phase_started
-    finally:
-        await asyncio.gather(
-            *(client.close() for client in pool), return_exceptions=True
-        )
-    report.wall_seconds = time.perf_counter() - run_started
-    return report

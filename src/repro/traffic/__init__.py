@@ -1,17 +1,15 @@
-"""Seeded traffic models for the serving stack.
+"""Seeded traffic models and the one load generator for the serving stack.
 
-The load harness in :mod:`repro.serve.client` drives phases of identical
-back-to-back sessions — ideal for isolating one ``(scheme, operation)``
-cost, unrepresentative of a deployed key-exchange service, where a few
-schemes dominate (Zipf popularity), requests arrive in bursts rather than
-a steady stream, and most traffic rides long-lived secure channels whose
-handshake cost is amortised over many records.
-
-This package supplies that missing realism as *data plus one engine*:
+A deployed key-exchange service is not a steady stream of identical
+requests: a few schemes dominate (Zipf popularity), requests arrive in
+bursts, and most traffic rides long-lived secure channels whose handshake
+cost is spread over many records.  A capacity run wants the opposite: one
+operation, back to back.  Both are *data plus one engine*:
 
 * :mod:`repro.traffic.model` — declarative :class:`~repro.traffic.model.TrafficMix`
   descriptions (scheme popularity, arrival process, operation mix, channel
-  lifetimes) and the named presets (``zipf-bursty`` & co.);
+  lifetimes), the named presets (``zipf-bursty`` & co.) and the closed-loop
+  :func:`~repro.traffic.model.one_shot_mix`;
 * :mod:`repro.traffic.engine` — :func:`~repro.traffic.engine.run_traffic`,
   which compiles a mix into per-client seeded schedules and drives a live
   server, producing a :class:`~repro.traffic.engine.TrafficReport` with
@@ -30,6 +28,7 @@ from repro.traffic.model import (  # noqa: F401
     ChannelProfile,
     TrafficMix,
     get_mix,
+    one_shot_mix,
     zipf_weights,
 )
 from repro.traffic.engine import (  # noqa: F401
@@ -44,6 +43,7 @@ __all__ = [
     "ChannelProfile",
     "TrafficMix",
     "get_mix",
+    "one_shot_mix",
     "zipf_weights",
     "TrafficEntry",
     "TrafficReport",

@@ -1,12 +1,12 @@
 """The traffic engine: compile a mix into schedules, drive a live server.
 
-:func:`run_traffic` is the realistic counterpart of
-:func:`repro.serve.client.run_load`: instead of phases of identical
-sessions, every client walks its own seeded schedule drawn from a
-:class:`~repro.traffic.model.TrafficMix` — Zipf-weighted scheme choice,
-channel sessions interleaved with one-shot operations, bursty pacing — so
-the server sees overlapping mixed-scheme pressure with realistic think
-time.
+:func:`run_traffic` is the repository's one load generator: every client
+walks its own seeded schedule drawn from a
+:class:`~repro.traffic.model.TrafficMix`.  A preset mix gives Zipf-weighted
+scheme choice, channel sessions interleaved with one-shot operations and
+bursty pacing, so the server sees overlapping mixed-scheme pressure with
+realistic think time; a :func:`~repro.traffic.model.one_shot_mix` gives
+every client one operation back to back, the closed-loop capacity run.
 
 **Accounting is strict.**  Every engine-level request increments
 ``submitted`` and must end as exactly one of ``responses`` (a verified
@@ -14,8 +14,9 @@ success) or ``explicit_errors`` (a typed error frame the server chose to
 send: quota, overload).  Anything else raises out of the engine — the run
 fails loudly, the counters are asserted equal by callers and tests, and a
 silently dropped request is therefore structurally impossible to miss.
-Recoveries the channel layer performs under the covers (transparent
-rekeys, crash-restart reopens) are surfaced as counters, not hidden.
+Recoveries performed under the covers (transparent rekeys; reconnects
+after a worker crash, drain or rolling restart, bounded by
+``RECONNECT_RETRIES``) are surfaced as counters, not hidden.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from repro.errors import (
     ParameterError,
     ProtocolError,
     QuotaError,
+    UnavailableError,
 )
 from repro.perf.latency import LatencyHistogram
 from repro.serve.client import (
-    SESSION_METHODS,
+    RECONNECT_BACKOFF,
+    RECONNECT_RETRIES,
     ChannelSession,
     ServeClient,
-    _reestablish,
 )
 from repro.traffic.model import TrafficMix
 
@@ -53,6 +55,13 @@ __all__ = [
 #: keep their operation names as kinds).
 CHANNEL_OPEN = "channel-open"
 CHANNEL_MESSAGE = "channel-message"
+
+#: One-shot operation name -> the ServeClient session coroutine that runs it.
+SESSION_METHODS = {
+    "key-agreement": "key_agreement_session",
+    "encryption": "encryption_session",
+    "signature": "signature_session",
+}
 
 #: How many times one engine-level request retries after an explicit
 #: quota/overload refusal before the run fails.
@@ -103,7 +112,9 @@ class TrafficReport:
     channels_opened: int = 0
     channel_messages: int = 0
     rekeys: int = 0
-    #: Crash/drain recoveries: reconnect + fresh channel, client-invisible.
+    #: Worker-lifecycle recoveries (crash, drain, rolling restart): each
+    #: reconnect, and for a channel the fresh channel it opened.
+    #: Client-invisible.
     reopens: int = 0
     oneshots: int = 0
 
@@ -118,10 +129,6 @@ class TrafficReport:
     def accounted(self) -> bool:
         """The strict accounting identity the acceptance tests assert."""
         return self.submitted == self.responses + self.explicit_errors
-
-    def rate_of(self, scheme: str, kind: str) -> float:
-        entry = self.entries.get(f"{scheme}:{kind}")
-        return entry.rate(self.wall_seconds) if entry else 0.0
 
     def handshake_histogram(self) -> LatencyHistogram:
         """Latencies of every channel handshake (the amortised cost)."""
@@ -177,14 +184,31 @@ def compile_schedule(
 
 
 async def _negotiate(client: ServeClient, scheme: str, report: TrafficReport) -> None:
-    """(Re)negotiate ``scheme``, absorbing worker-lifecycle failures."""
+    """(Re)connect and (re)negotiate ``scheme``, with bounded backoff.
+
+    Rides out the dark window of a worker crash-restart or rolling restart:
+    the replacement worker takes backoff plus spawn time to come up, so a
+    failed attempt closes the connection and retries with doubling pauses
+    until one lands on a live worker."""
     if client.scheme_name == scheme and client.connected:
         return
-    from repro.serve.client import LoadEntry
-
-    probe = LoadEntry(scheme, "negotiate")
-    await _reestablish(client, probe, attempts=20)
-    report.reopens += probe.reconnects
+    delay = RECONNECT_BACKOFF
+    last: Optional[BaseException] = None
+    for _ in range(RECONNECT_RETRIES):
+        try:
+            if not client.connected:
+                await client.connect()
+            await client.negotiate(scheme)
+            return
+        except (UnavailableError, ProtocolError, OSError) as exc:
+            last = exc
+            report.reopens += 1
+            await client.close()
+            await asyncio.sleep(delay)
+            delay = min(delay * 2, 0.5)
+    raise ProtocolError(
+        f"could not negotiate {scheme} after {RECONNECT_RETRIES} attempts: {last}"
+    )
 
 
 async def _with_refusal_retries(report, entry, coroutine_factory):
@@ -276,23 +300,25 @@ async def _run_oneshot_session(
     payload: bytes,
 ) -> None:
     entry = report.entry(planned.scheme, planned.kind)
+    method = getattr(client, SESSION_METHODS[planned.kind])
+    args = (rng,) if planned.kind == "key-agreement" else (payload, rng)
+    reconnects_left = RECONNECT_RETRIES
 
     async def _once() -> float:
-        method = getattr(client, SESSION_METHODS[planned.kind])
-        try:
-            if planned.kind == "key-agreement":
-                return await method(rng)
-            return await method(payload, rng)
-        except (ProtocolError, OSError):
-            # Worker lifecycle (crash, drain): reconnect and retry the
-            # session once on the fresh connection — the cluster's preset
-            # keys keep the renegotiated identity valid.
-            report.reopens += 1
-            await client.close()
-            await _negotiate(client, planned.scheme, report)
-            if planned.kind == "key-agreement":
-                return await method(rng)
-            return await method(payload, rng)
+        nonlocal reconnects_left
+        while True:
+            try:
+                return await method(*args)
+            except (UnavailableError, ProtocolError, OSError):
+                # Worker lifecycle (crash, drain, rolling restart): reconnect
+                # and retry the session on the fresh connection — the
+                # cluster's preset keys keep the renegotiated identity valid.
+                if reconnects_left == 0:
+                    raise
+                reconnects_left -= 1
+                report.reopens += 1
+                await client.close()
+                await _negotiate(client, planned.scheme, report)
 
     await _with_refusal_retries(report, entry, _once)
     report.oneshots += 1
@@ -312,7 +338,6 @@ async def _client_loop(
     """One client's whole run: its schedule at its burst/gap pacing."""
     rng = random.Random(f"traffic:{mix.name}:{seed}:{index}")  # audit: allow[RC201] seeded on purpose: reproducible workloads, no key material
     client = ServeClient(host, port, backend=backend)
-    await client.connect()
     try:
         burst_left = mix.arrivals.burst_size(rng)
         for planned in schedule:

@@ -37,7 +37,10 @@ __all__ = [
     "ChannelProfile",
     "TrafficMix",
     "MIXES",
+    "HEADLINE_SCHEMES",
     "get_mix",
+    "one_shot_mix",
+    "ONESHOT_OPERATIONS",
 ]
 
 
@@ -140,6 +143,14 @@ class TrafficMix:
     arrivals: ArrivalModel = field(default_factory=ArrivalModel)
     channels: ChannelProfile = field(default_factory=ChannelProfile)
 
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.oneshot_weights) - set(ONESHOT_OPERATIONS))
+        if unknown:
+            raise ParameterError(
+                f"{self.name}: unknown one-shot operation(s) {unknown}; "
+                f"expected {', '.join(ONESHOT_OPERATIONS)}"
+            )
+
     def scheme_weights(self) -> List[Tuple[str, float]]:
         """``(scheme, weight)`` pairs — Zipf over the declared order."""
         weights = zipf_weights(len(self.schemes), self.zipf_exponent)
@@ -162,7 +173,7 @@ class TrafficMix:
         supported = {
             operation: weight
             for operation, weight in self.oneshot_weights.items()
-            if _CAPABILITY_BY_OPERATION[operation] in capabilities
+            if operation in capabilities
         }
         if not supported:
             return "channel"  # every scheme can bootstrap a channel
@@ -175,16 +186,13 @@ class TrafficMix:
         return next(reversed(supported))
 
 
-#: One-shot operation name -> the scheme capability it needs (mirrors
-#: ``repro.serve.session.CAPABILITY_BY_KIND`` for the client-session verbs).
-_CAPABILITY_BY_OPERATION = {
-    "key-agreement": "key-agreement",
-    "encryption": "encryption",
-    "signature": "signature",
-}
+#: The one-shot operations, each named after the scheme capability it
+#: needs, in the order ``load --schemes`` prefers them.
+ONESHOT_OPERATIONS = ("key-agreement", "encryption", "signature")
 
-#: The paper's four deployed cryptosystems, most to least popular.
-_HEADLINE = ("ceilidh-170", "ecdh-p160", "rsa-1024", "xtr-170")
+#: The paper's four deployed cryptosystems, most to least popular: the
+#: presets' schemes and ``python -m repro.serve load``'s default.
+HEADLINE_SCHEMES = ("ceilidh-170", "ecdh-p160", "rsa-1024", "xtr-170")
 
 #: The named presets ``python -m repro.serve load --mix`` accepts.
 MIXES: Dict[str, TrafficMix] = {
@@ -194,7 +202,7 @@ MIXES: Dict[str, TrafficMix] = {
     # once per run.
     "zipf-bursty": TrafficMix(
         name="zipf-bursty",
-        schemes=_HEADLINE,
+        schemes=HEADLINE_SCHEMES,
         zipf_exponent=1.0,
         channel_weight=0.7,
         arrivals=ArrivalModel(mean_burst=4.0, mean_gap_seconds=0.01),
@@ -210,7 +218,7 @@ MIXES: Dict[str, TrafficMix] = {
     # effect of the stack.
     "uniform-steady": TrafficMix(
         name="uniform-steady",
-        schemes=_HEADLINE,
+        schemes=HEADLINE_SCHEMES,
         zipf_exponent=0.0,
         channel_weight=0.5,
         arrivals=ArrivalModel(mean_burst=1.0, mean_gap_seconds=0.0),
@@ -220,7 +228,7 @@ MIXES: Dict[str, TrafficMix] = {
     # state regime where handshake cost should vanish into the noise.
     "channel-heavy": TrafficMix(
         name="channel-heavy",
-        schemes=_HEADLINE,
+        schemes=HEADLINE_SCHEMES,
         zipf_exponent=1.0,
         channel_weight=0.95,
         arrivals=ArrivalModel(mean_burst=2.0, mean_gap_seconds=0.005),
@@ -228,11 +236,11 @@ MIXES: Dict[str, TrafficMix] = {
             mean_messages=64.0, min_messages=8, rekey_after_messages=24
         ),
     ),
-    # No channels at all: the one-shot baseline the amortisation claim is
-    # measured against.
+    # No channels at all: the one-shot counterpart of zipf-bursty, same
+    # popularity and arrivals.
     "oneshot-zipf": TrafficMix(
         name="oneshot-zipf",
-        schemes=_HEADLINE,
+        schemes=HEADLINE_SCHEMES,
         zipf_exponent=1.0,
         channel_weight=0.0,
         arrivals=ArrivalModel(mean_burst=4.0, mean_gap_seconds=0.01),
@@ -248,3 +256,19 @@ def get_mix(name: str) -> TrafficMix:
         raise ParameterError(
             f"unknown traffic mix {name!r}; presets: {', '.join(sorted(MIXES))}"
         ) from None
+
+
+def one_shot_mix(scheme: str, operation: str) -> TrafficMix:
+    """A closed-loop capacity mix: every client runs ``operation`` on
+    ``scheme`` back to back, no channels, no gaps.
+
+    Named ``<scheme>:<operation>``, the key of its only traffic cell.  An
+    operation the scheme lacks falls back to channels, as in any mix.
+    """
+    return TrafficMix(
+        name=f"{scheme}:{operation}",
+        schemes=(scheme,),
+        channel_weight=0.0,
+        oneshot_weights={operation: 1.0},
+        arrivals=ArrivalModel(mean_burst=1.0, mean_gap_seconds=0.0),
+    )

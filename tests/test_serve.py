@@ -1,7 +1,7 @@
 """End-to-end tests of the serving subsystem.
 
 Every protocol a scheme supports is driven through a real loopback server
-with the client half executing locally (the same split the load harness
+with the client half executing locally (the same split the traffic engine
 measures); the scheduler's batching and backpressure are exercised
 directly; and the registry's thread-safety — which the threaded
 worker pool depends on — gets a hammering regression test.
@@ -23,7 +23,7 @@ from repro.errors import (
     UnsupportedOperationError,
 )
 from repro.pkc.registry import _INSTANCES, get_scheme
-from repro.serve.client import ServeClient, run_load
+from repro.serve.client import ServeClient
 from repro.serve.scheduler import BatchScheduler, SchemeHost, classify_error
 from repro.serve.server import ServeServer
 from repro.serve.session import serve_request
@@ -32,6 +32,7 @@ from repro.serve.protocol import (
     OP_SIGNATURE,
     confirmation_tag,
 )
+from repro.traffic import one_shot_mix, run_traffic
 
 
 def run(coroutine):
@@ -170,9 +171,9 @@ class TestScheduler:
         async def scenario():
             async with _server(max_batch=8) as server:
                 host, port = server.address
-                report = await run_load(
+                report = await run_traffic(
                     host, port,
-                    [("ceilidh-toy32", "key-agreement")],
+                    one_shot_mix("ceilidh-toy32", "key-agreement"),
                     clients=8, sessions_per_client=3,
                 )
                 stats = server.scheduler.stats
@@ -180,8 +181,8 @@ class TestScheduler:
                 return report, stats, group
 
         report, stats, group = run(scenario())
-        assert report.total_errors == 0
-        assert report.total_sessions == 24
+        assert report.accounted
+        assert report.responses == 24
         assert group.served == 24
         assert group.busy_seconds > 0
         assert group.served_per_second > 0
@@ -370,34 +371,55 @@ class TestRegistryThreadSafety:
 
 
 class TestLoadHarness:
-    def test_mixed_scheme_load_with_eight_clients(self):
-        async def scenario():
-            async with _server() as server:
-                host, port = server.address
-                report = await run_load(
-                    host, port,
-                    [
-                        ("ceilidh-toy32", "key-agreement"),
-                        ("xtr-toy32", "key-agreement"),
-                        ("rsa-512", "encryption"),
-                    ],
-                    clients=8, sessions_per_client=2,
-                )
-                return report, server.protocol_errors
+    def test_scheme_mixes_pick_each_schemes_first_supported_operation(self):
+        """``load --schemes`` runs one closed-loop mix per scheme, under the
+        first of key-agreement, encryption, signature the scheme offers."""
+        from repro.serve.__main__ import _scheme_mixes
 
-        report, protocol_errors = run(scenario())
-        assert protocol_errors == 0
-        assert report.clients == 8
-        assert report.total_errors == 0
-        assert sorted(report.entries) == [
+        mixes = _scheme_mixes(["ceilidh-toy32", "rsa-512", "xtr-toy32"], None)
+        assert [mix.name for mix in mixes] == [
             "ceilidh-toy32:key-agreement",
             "rsa-512:encryption",
             "xtr-toy32:key-agreement",
         ]
-        for entry in report.entries.values():
-            assert entry.sessions == 16
+        assert all(mix.channel_weight == 0.0 for mix in mixes)
+        with pytest.raises(ParameterError):
+            _scheme_mixes(["no-such-scheme"], None)
+
+    def test_mixed_scheme_load_with_eight_clients(self):
+        mixes = [
+            one_shot_mix("ceilidh-toy32", "key-agreement"),
+            one_shot_mix("xtr-toy32", "key-agreement"),
+            one_shot_mix("rsa-512", "encryption"),
+        ]
+
+        async def scenario():
+            async with _server() as server:
+                host, port = server.address
+                reports = [
+                    await run_traffic(
+                        host, port, mix, clients=8, sessions_per_client=2
+                    )
+                    for mix in mixes
+                ]
+                return reports, server.protocol_errors
+
+        reports, protocol_errors = run(scenario())
+        assert protocol_errors == 0
+        assert [report.mix for report in reports] == [
+            "ceilidh-toy32:key-agreement",
+            "xtr-toy32:key-agreement",
+            "rsa-512:encryption",
+        ]
+        for report in reports:
+            assert report.clients == 8
+            assert report.accounted
+            # A one-shot mix has exactly one cell, keyed like the mix.
+            assert list(report.entries) == [report.mix]
+            entry = report.entries[report.mix]
+            assert entry.count == 16
             assert entry.histogram.count == 16
-            assert entry.sessions_per_second > 0
+            assert entry.rate(report.wall_seconds) > 0
             digest = entry.histogram.summary()
             assert 0 < digest["p50_ms"] <= digest["max_ms"]
 
@@ -427,3 +449,59 @@ class TestLoadHarness:
         assert record.latency_ms["count"] == 16
         assert record.latency_ms["p50_ms"] <= record.latency_ms["max_ms"]
         assert record.meta["clients"] == 8
+
+    def test_load_cli_mix_emits_traffic_and_channel_rows(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.perf import load_bench
+        from repro.serve.__main__ import main
+
+        bench_file = tmp_path / "BENCH_traffic_test.json"
+        monkeypatch.setenv("REPRO_BENCH_PATH", str(bench_file))
+        monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
+        # Seed 0's schedule opens channels on rsa-1024 and ceilidh-170.
+        status = main([
+            "load", "--quick", "--mix", "zipf-bursty",
+            "--clients", "2", "--sessions", "2", "--seed", "0",
+        ])
+        assert status == 0
+        entries = load_bench(bench_file)
+        meta = entries["traffic:zipf-bursty:all"].meta
+        assert meta["seed"] == 0
+        assert meta["submitted"] == meta["responses"] + meta["explicit_errors"]
+        assert meta["channels_opened"] > 0
+        channel_keys = {key for key in entries if key.startswith("serve-channel:")}
+        schemes = {key.rsplit(":", 1)[0] for key in channel_keys}
+        assert schemes
+        assert channel_keys == {
+            f"{scheme}:{operation}"
+            for scheme in schemes
+            for operation in ("open", "message")
+        }
+
+    def test_load_cli_connect_drives_an_external_server(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve.__main__ import main
+
+        bench_file = tmp_path / "BENCH_connect_test.json"
+        monkeypatch.setenv("REPRO_BENCH_PATH", str(bench_file))
+
+        async def scenario():
+            async with _server() as server:
+                host, port = server.address
+                # main() runs its own event loop, so it gets a thread.
+                status = await asyncio.get_running_loop().run_in_executor(
+                    None, main, [
+                        "load", "--connect", f"{host}:{port}",
+                        "--schemes", "ceilidh-toy32,rsa-512",
+                        "--clients", "2", "--sessions", "2", "--no-emit",
+                    ],
+                )
+                return status, server.scheduler.stats.served, server.protocol_errors
+
+        status, served, protocol_errors = run(scenario())
+        assert status == 0
+        assert served == 8  # 2 schemes x 2 clients x 2 sessions
+        assert protocol_errors == 0
+        assert not bench_file.exists()

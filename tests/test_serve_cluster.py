@@ -1,10 +1,10 @@
 """Tests of the multi-process cluster serving layer.
 
-The pure pieces (consistent-hash ring, load plans, configuration
-validation) are tested exhaustively; the process-spawning pieces boot real
-worker clusters on loopback and drive them with the load harness, keeping
-worker counts and session counts small — every spawn pays an interpreter
-start plus the package import.
+The pure pieces (consistent-hash ring, configuration validation) are
+tested exhaustively; the process-spawning pieces boot real worker clusters
+on loopback and drive them with the traffic engine's closed-loop one-shot
+mixes, keeping worker counts and session counts small — every spawn pays
+an interpreter start plus the package import.
 
 The lifecycle tests are the acceptance story: a SIGKILLed worker comes
 back and the load sees zero client-visible errors; a SIGTERM drain loses
@@ -22,10 +22,14 @@ import signal
 import pytest
 
 from repro.errors import ParameterError
-from repro.serve.client import LoadPhase, LoadPlan, ServeClient, run_load
+from repro.serve.client import ServeClient
 from repro.serve.cluster import ClusterSupervisor, reuseport_available
 from repro.serve.router import HashRing
 from repro.serve.scheduler import SchemeHost
+from repro.traffic import one_shot_mix, run_traffic
+
+#: The lifecycle tests' load: ceilidh-toy32 key agreements back to back.
+KA_MIX = one_shot_mix("ceilidh-toy32", "key-agreement")
 
 
 def run(coroutine):
@@ -93,55 +97,23 @@ class TestHashRing:
             HashRing(range(2), vnodes=0)
 
 
-class TestLoadPlan:
-    def test_from_mix_and_back(self):
-        mix = [("ceilidh-170", "key-agreement"), ("rsa-1024", "encryption")]
-        plan = LoadPlan.from_mix(mix)
-        assert plan.mix() == mix
-        assert all(phase.weight == 1.0 for phase in plan.phases)
-
-    def test_uniform_is_the_cross_product(self):
-        plan = LoadPlan.uniform(["a", "b"], ["key-agreement", "signature"])
-        assert len(plan.phases) == 4
-        assert ("b", "signature") in plan.mix()
-
-    def test_weight_scales_sessions_with_a_floor_of_one(self):
-        assert LoadPhase("s", "key-agreement", weight=2.0).sessions(4) == 8
-        assert LoadPhase("s", "key-agreement", weight=0.5).sessions(4) == 2
-        assert LoadPhase("s", "key-agreement", weight=0.01).sessions(4) == 1
-
-    def test_run_load_accepts_a_plan(self):
-        """A weighted plan drives a plain in-process server."""
-        from repro.serve.server import ServeServer
-
-        async def scenario():
-            server = ServeServer(
-                schemes=("ceilidh-toy32",), rng=random.Random(4), workers=2
-            )
-            await server.start()
-            try:
-                host, port = server.address
-                plan = LoadPlan(
-                    [LoadPhase("ceilidh-toy32", "key-agreement", weight=2.0)]
-                )
-                return await run_load(
-                    host, port, plan=plan, clients=2, sessions_per_client=2
-                )
-            finally:
-                await server.stop()
-
-        report = run(scenario())
-        assert report.total_errors == 0
-        # weight 2.0 doubles the per-client sessions: 2 clients x 4.
-        assert report.total_sessions == 8
-
-
 class TestClusterConfiguration:
     def test_rejects_bad_worker_count_and_mode(self):
         with pytest.raises(ParameterError):
             ClusterSupervisor(workers=0)
         with pytest.raises(ParameterError):
             ClusterSupervisor(mode="sharded")
+
+    def test_cluster_counts_are_sorted_deduplicated_and_start_at_one(self):
+        """``load --cluster`` efficiency is relative to one worker, so the
+        sweep always measures a single-worker run first."""
+        from repro.serve.__main__ import _parse_cluster_counts
+
+        assert _parse_cluster_counts("4,2,4") == [1, 2, 4]
+        assert _parse_cluster_counts("1, 3") == [1, 3]
+        for raw in ("", " , ", "0,2", "-1"):
+            with pytest.raises(SystemExit):
+                _parse_cluster_counts(raw)
 
     def test_preset_keys_pin_the_host_identity(self):
         """A SchemeHost built with preset keys serves them verbatim — the
@@ -161,9 +133,8 @@ class TestReuseportCluster:
         async def scenario():
             async with _cluster(mode="reuseport") as cluster:
                 host, port = cluster.address
-                report = await run_load(
-                    host, port, [("ceilidh-toy32", "key-agreement")],
-                    clients=4, sessions_per_client=3,
+                report = await run_traffic(
+                    host, port, KA_MIX, clients=4, sessions_per_client=3
                 )
                 # However the kernel spread the connections, every WELCOME
                 # must advertise the same long-lived server key.
@@ -174,8 +145,8 @@ class TestReuseportCluster:
                 return report, publics, cluster.worker_pids()
 
         report, publics, pids = run(scenario())
-        assert report.total_errors == 0
-        assert report.total_sessions == 12
+        assert report.accounted
+        assert report.responses == 12
         assert len(publics) == 1
         assert len(pids) == 2 and all(pids)
 
@@ -187,23 +158,25 @@ class TestRouterCluster:
                 mode="router", schemes=("ceilidh-toy32", "xtr-toy32")
             ) as cluster:
                 host, port = cluster.address
-                report = await run_load(
-                    host, port,
-                    [("ceilidh-toy32", "key-agreement"),
-                     ("xtr-toy32", "key-agreement")],
-                    clients=3, sessions_per_client=2,
-                )
+                reports = [
+                    await run_traffic(
+                        host, port, one_shot_mix(scheme, "key-agreement"),
+                        clients=3, sessions_per_client=2,
+                    )
+                    for scheme in ("ceilidh-toy32", "xtr-toy32")
+                ]
                 assert cluster.router is not None
                 ring = cluster.router.ring
                 expected = {
                     ring.lookup(scheme)
                     for scheme in ("ceilidh-toy32", "xtr-toy32")
                 }
-                return report, dict(cluster.router.stats.routed), expected
+                return reports, dict(cluster.router.stats.routed), expected
 
-        report, routed, expected = run(scenario())
-        assert report.total_errors == 0
-        assert report.total_sessions == 12  # 2 phases x 3 clients x 2
+        reports, routed, expected = run(scenario())
+        assert all(report.accounted for report in reports)
+        # 2 mixes x 3 clients x 2 sessions
+        assert sum(report.responses for report in reports) == 12
         # Affinity: frames only ever reached the ring owners of the two
         # schemes — nothing leaked onto other workers.
         assert set(routed) == expected
@@ -219,8 +192,8 @@ class TestWorkerLifecycle:
             async with _cluster() as cluster:
                 host, port = cluster.address
                 load = asyncio.ensure_future(
-                    run_load(host, port, [("ceilidh-toy32", "key-agreement")],
-                             clients=4, sessions_per_client=25)
+                    run_traffic(host, port, KA_MIX,
+                                clients=4, sessions_per_client=25)
                 )
                 await asyncio.sleep(0.3)
                 await cluster.kill_worker(0)
@@ -235,8 +208,8 @@ class TestWorkerLifecycle:
                 return report, cluster.total_restarts, cluster.worker_phases()
 
         report, restarts, phases = run(scenario())
-        assert report.total_errors == 0
-        assert report.total_sessions == 100
+        assert report.accounted
+        assert report.responses == 100
         assert restarts >= 1
         assert phases == ["running", "running"]
 
@@ -249,8 +222,8 @@ class TestWorkerLifecycle:
             async with _cluster() as cluster:
                 host, port = cluster.address
                 load = asyncio.ensure_future(
-                    run_load(host, port, [("ceilidh-toy32", "key-agreement")],
-                             clients=4, sessions_per_client=25)
+                    run_traffic(host, port, KA_MIX,
+                                clients=4, sessions_per_client=25)
                 )
                 await asyncio.sleep(0.3)
                 pid = cluster.worker_pids()[1]
@@ -260,8 +233,8 @@ class TestWorkerLifecycle:
                 return report
 
         report = run(scenario())
-        assert report.total_errors == 0
-        assert report.total_sessions == 100
+        assert report.accounted
+        assert report.responses == 100
 
     def test_rolling_restart_keeps_the_port_serving(self):
         async def scenario():
@@ -269,8 +242,8 @@ class TestWorkerLifecycle:
                 host, port = cluster.address
                 before = list(cluster.worker_pids())
                 load = asyncio.ensure_future(
-                    run_load(host, port, [("ceilidh-toy32", "key-agreement")],
-                             clients=4, sessions_per_client=30)
+                    run_traffic(host, port, KA_MIX,
+                                clients=4, sessions_per_client=30)
                 )
                 await asyncio.sleep(0.2)
                 await cluster.rolling_restart()
@@ -283,8 +256,8 @@ class TestWorkerLifecycle:
                 return report, before, after
 
         report, before, after = run(scenario())
-        assert report.total_errors == 0
-        assert report.total_sessions == 120
+        assert report.accounted
+        assert report.responses == 120
         # Every worker was actually replaced.
         assert set(before).isdisjoint(after)
 

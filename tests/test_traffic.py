@@ -22,6 +22,7 @@ from repro.traffic.model import (
     ChannelProfile,
     TrafficMix,
     get_mix,
+    one_shot_mix,
     zipf_weights,
 )
 
@@ -236,6 +237,42 @@ class TestEngine:
         open_keys = [k for k in report.entries if k.endswith(CHANNEL_OPEN)]
         message_keys = [k for k in report.entries if k.endswith(CHANNEL_MESSAGE)]
         assert open_keys and message_keys
+
+    def test_one_shot_mix_is_a_closed_loop(self):
+        """One scheme, one operation, no channels, no think time: every
+        client runs ``sessions_per_client`` of that operation back to back,
+        and the report has exactly one cell, keyed like the mix."""
+        mix = one_shot_mix("ceilidh-toy32", "key-agreement")
+        assert mix.name == "ceilidh-toy32:key-agreement"
+        assert mix.schemes == ("ceilidh-toy32",)
+        assert mix.channel_weight == 0.0
+        rng = random.Random(8)
+        assert {mix.arrivals.burst_size(rng) for _ in range(50)} == {1}
+        assert mix.arrivals.gap_seconds(rng) == 0.0
+        schedule = compile_schedule(
+            mix, rng, 20, {"ceilidh-toy32": TOY_CAPABILITIES["ceilidh-toy32"]}
+        )
+        assert {(p.scheme, p.kind) for p in schedule} == {
+            ("ceilidh-toy32", "key-agreement")
+        }
+        with pytest.raises(ParameterError):
+            one_shot_mix("ceilidh-toy32", "decryption")
+
+        async def scenario():
+            async with ServeServer(
+                schemes=("ceilidh-toy32",), rng=random.Random(4), workers=2
+            ) as server:
+                host, port = server.address
+                return await run_traffic(
+                    host, port, mix, clients=2, sessions_per_client=4
+                )
+
+        report = run(scenario())
+        assert report.accounted
+        assert report.responses == report.oneshots == 8
+        assert report.channels_opened == 0
+        assert list(report.entries) == [mix.name]
+        assert report.entries[mix.name].count == 8
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ParameterError):
