@@ -176,7 +176,10 @@ class TorusExpGroup(Group):
     Inversion is one Frobenius application (``alpha^-1 = alpha^(p^3)``), so
     ``cheap_inverse`` is set.  The p-power Frobenius itself is the declared
     endomorphism (``alpha^p`` for every element of Fp6, so of T6 too), which
-    lets the engine's auto-selection split exponents wider than p.
+    lets the engine's auto-selection split exponents wider than p.  Squaring
+    is the cyclotomic one (6M on a plain field).  Both it and the Frobenius
+    inverse hold only on T6, so operands must be torus members; every
+    ``TorusElement`` the library builds is one.
     """
 
     cheap_inverse = True
@@ -200,7 +203,7 @@ class TorusExpGroup(Group):
         return self._TorusElement(self.group, self.fp6.mul(a.value, b.value))
 
     def square(self, a):
-        return self._TorusElement(self.group, self.fp6.sqr(a.value))
+        return self._TorusElement(self.group, self.fp6.sqr(a.value, cyclotomic=True))
 
     def inverse(self, a):
         return a.inverse()

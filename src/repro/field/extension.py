@@ -3,8 +3,10 @@
 The CEILIDH tower uses three concrete extensions (degrees 2, 3 and 6); all of
 them are instances of this generic construction, which provides schoolbook
 multiplication, inversion via the extended Euclidean algorithm, Frobenius
-maps, norms and traces.  The degree-6 field adds the paper's specialised
-18M multiplication on top (see :mod:`repro.field.fp6`).
+maps, norms and traces.  Each concrete field overrides the hot operations
+with closed forms: Fp2 a 3M Karatsuba product (:mod:`repro.field.fp2`), Fp3
+a 6M product and an adjugate inversion (:mod:`repro.field.fp3`), and Fp6 the
+paper's 18M multiplication (:mod:`repro.field.fp6`).
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class ExtElement:
         """Wrap coefficients already reduced into ``[0, p)`` without checks.
 
         Hot-path constructor for arithmetic that guarantees reduction itself
-        (the inline Fp6 multiplication); skips the per-coefficient ``% p``
-        and the length validation of ``__init__``.
+        (the closed-form products, and sums of base-field results); skips the
+        per-coefficient ``% p`` and the length validation of ``__init__``.
         """
         element = object.__new__(cls)
         element.field = field
@@ -217,17 +219,20 @@ class ExtensionField:
 
     # -- arithmetic ---------------------------------------------------------
 
+    # Base-field add/sub/neg return reduced residents, so the results skip
+    # the re-reducing constructor.
+
     def add(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        base = self.base
-        return ExtElement(self, [base.add(x, y) for x, y in zip(a.coeffs, b.coeffs)])
+        add = self.base.add
+        return ExtElement._raw(self, tuple([add(x, y) for x, y in zip(a.coeffs, b.coeffs)]))
 
     def sub(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        base = self.base
-        return ExtElement(self, [base.sub(x, y) for x, y in zip(a.coeffs, b.coeffs)])
+        sub = self.base.sub
+        return ExtElement._raw(self, tuple([sub(x, y) for x, y in zip(a.coeffs, b.coeffs)]))
 
     def neg(self, a: ExtElement) -> ExtElement:
-        base = self.base
-        return ExtElement(self, [base.neg(x) for x in a.coeffs])
+        neg = self.base.neg
+        return ExtElement._raw(self, tuple([neg(x) for x in a.coeffs]))
 
     def scalar_mul(self, a: ExtElement, c: int) -> ExtElement:
         """Multiply by the *plain* integer scalar ``c``."""
@@ -248,35 +253,6 @@ class ExtensionField:
             raise ParameterError("cannot invert zero")
         inverse = P.poly_inverse_mod(self.base, list(a.coeffs), self.modulus)
         return self._from_coeffs(list(inverse))
-
-    def inv_many(self, values) -> "list[ExtElement]":
-        """Batch inversion (Montgomery's trick): 1 inversion + 3(N-1) products.
-
-        The single polynomial-gcd inversion is the expensive step here, so
-        the trick pays off even faster than in Fp.  Any zero in the batch
-        raises :class:`ParameterError`, as :meth:`inv` would.
-        """
-        values = list(values)
-        n = len(values)
-        if n == 0:
-            return []
-        if n == 1:
-            return [self.inv(values[0])]
-        for value in values:
-            if value.is_zero():
-                raise ParameterError("cannot invert zero")
-        prefix = values[:]
-        acc = prefix[0]
-        for i in range(1, n):
-            acc = self.mul(acc, values[i])
-            prefix[i] = acc
-        inv_acc = self.inv(acc)
-        out: "list[ExtElement]" = [inv_acc] * n
-        for i in range(n - 1, 0, -1):
-            out[i] = self.mul(inv_acc, prefix[i - 1])
-            inv_acc = self.mul(inv_acc, values[i])
-        out[0] = inv_acc
-        return out
 
     def exp_group(self):
         """This field's unit group as seen by :mod:`repro.exp`."""
@@ -301,7 +277,7 @@ class ExtensionField:
 
         Shared-base runs amortize one fixed-base table (see
         :func:`repro.exp.strategies.exponentiate_many`); value-identical to
-        N single :meth:`pow` calls, the ``inv_many`` contract.
+        N single :meth:`pow` calls.
         """
         from repro.exp.strategies import exponentiate_many
 

@@ -6,8 +6,9 @@ adds the paper's multiplication algorithm: split A = A0 + A1*z^3 into two
 degree-2 halves, use the three-product Karatsuba trick on the halves and a
 six-multiplication Toom-style product for each half product, for a total of
 exactly 18 Fp multiplications plus additions (Section 2.2.2).  Over a plain
-prime field it also squares with two of those half products (12M), and in
-every representation the Frobenius is a signed coefficient permutation.
+prime field it also squares with two of those half products (12M), torus
+elements with the 6M cyclotomic squaring of Granger and Scott, and in every
+representation the Frobenius is a signed coefficient permutation.
 """
 
 from __future__ import annotations
@@ -241,16 +242,20 @@ class Fp6Field(ExtensionField):
 
     # -- squaring -------------------------------------------------------------
 
-    def sqr(self, a: ExtElement) -> ExtElement:
-        """Squaring.
+    def sqr(self, a: ExtElement, cyclotomic: bool = False) -> ExtElement:
+        """Squaring; ``cyclotomic=True`` promises that ``a`` lies in T6(Fp).
 
         The paper uses no dedicated squaring, so counting and resident
-        fields square with :meth:`mul_paper` and keep its 18M tally.  Over
-        a plain prime field the fast path is a 12M complex squaring.
+        fields square with :meth:`mul_paper` and keep its 18M tally either
+        way.  Over a plain prime field the fast path is a 12M complex
+        squaring for any element, and the 6M cyclotomic squaring of
+        :meth:`_sqr_cyclotomic` for torus elements.
         """
-        if self._plain_base:
-            return self._sqr_fast(a)
-        return self.mul_paper(a, a)
+        if not self._plain_base:
+            return self.mul_paper(a, a)
+        if cyclotomic:
+            return self._sqr_cyclotomic(a)
+        return self._sqr_fast(a)
 
     def _sqr_fast(self, a: ExtElement) -> ExtElement:
         """Complex squaring on raw integers: two 6M half products (12M).
@@ -294,6 +299,41 @@ class Fp6Field(ExtensionField):
                 (c0_3 + e0 - c1_3) % p,
                 (d2 + c1_1 - e2) % p,
                 c1_2 % p,
+            ),
+        )
+
+    def _sqr_cyclotomic(self, a: ExtElement) -> ExtElement:
+        """Granger-Scott squaring in T6(Fp) on raw integers (6M).
+
+        With w = z^3 a primitive cube root of unity, F1 is the cubic
+        extension Fp2[z]/(z^3 - w) of Fp2 = Fp(w), the setting of Granger
+        and Scott, "Faster squaring in the cyclotomic subgroup of sixth
+        degree extensions" (PKC 2010).  For ``a`` in T6 their identities
+        give each coordinate of ``a^2`` from one product of two coordinate
+        combinations:
+
+            c0 = 3(a0^2 - a3^2) - 2(a0 - a3)    c3 = 3 a3(2a0 - a3) + 2 a3
+            c1 = 3 a5(a5 - 2a2) + 2 a2          c4 = 3 a2(a2 - 2a5) + 2(a2 - a5)
+            c2 = 3(a1^2 - a4^2) + 2 a1          c5 = 3 a4(2a1 - a4) + 2(a1 - a4)
+
+        The result is wrong for elements outside the torus.  c0 and c3
+        factor as (a0 - a3)(3(a0 + a3) - 2) and a3(3(2a0 - a3) + 2), and
+        every coordinate is reduced once, as in :meth:`_mul_fast`.
+        """
+        p = self.base.p
+        a0, a1, a2, a3, a4, a5 = a.coeffs
+        d03 = a0 - a3
+        d14 = a1 - a4
+        d25 = a2 - a5
+        return ExtElement._raw(
+            self,
+            (
+                d03 * (3 * (a0 + a3) - 2) % p,
+                (3 * a5 * (a5 - a2 - a2) + a2 + a2) % p,
+                (3 * d14 * (a1 + a4) + a1 + a1) % p,
+                a3 * (3 * (a0 + d03) + 2) % p,
+                (3 * a2 * (d25 - a5) + d25 + d25) % p,
+                (3 * a4 * (a1 + d14) + d14 + d14) % p,
             ),
         )
 

@@ -14,6 +14,11 @@ The change of basis uses the identities (z = zeta_9 a root of z^6+z^3+1):
 The F2 basis over Fp is {1, y, y^2, x, x*y, x*y^2}; expressing each basis
 vector in the z-basis gives a 6x6 matrix over Fp whose inverse provides the
 reverse map.
+
+Tower arithmetic runs on :class:`~repro.field.fp3.Fp3Field`'s closed forms,
+so an inversion here is one Fp3 inversion, i.e. one Fp inversion.  The
+compression maps take only tau and tau^-1 from this module and work on the
+Fp3 halves of tau(alpha) directly (:mod:`repro.torus.compression`).
 """
 
 from __future__ import annotations
@@ -149,43 +154,13 @@ class TowerFp6:
         return TowerElement(self, ac - bd, cross - bd)
 
     def inv(self, u: TowerElement) -> TowerElement:
-        """Inverse via the norm to Fp3: u^-1 = conj(u) / N(u)."""
+        """Inverse via the norm to Fp3: u^-1 = conj(u) / N(u), one Fp inversion."""
         if u.is_zero():
             raise ParameterError("cannot invert zero")
         norm = u.norm_to_fp3()
         norm_inv = norm.inverse()
         conj = u.conjugate()
         return TowerElement(self, conj.a * norm_inv, conj.b * norm_inv)
-
-    def inv_many(self, values) -> "list[TowerElement]":
-        """Batch inversion (Montgomery's trick): 1 inversion + 3(N-1) products.
-
-        The one remaining :meth:`inv` bottoms out in a single Fp3
-        polynomial-gcd inversion, so a batch of N tower inversions costs one
-        gcd instead of N.  Any zero raises :class:`ParameterError`, as
-        :meth:`inv` would.
-        """
-        values = list(values)
-        n = len(values)
-        if n == 0:
-            return []
-        if n == 1:
-            return [self.inv(values[0])]
-        for value in values:
-            if value.is_zero():
-                raise ParameterError("cannot invert zero")
-        prefix = values[:]
-        acc = prefix[0]
-        for i in range(1, n):
-            acc = self.mul(acc, values[i])
-            prefix[i] = acc
-        inv_acc = self.inv(acc)
-        out: "list[TowerElement]" = [inv_acc] * n
-        for i in range(n - 1, 0, -1):
-            out[i] = self.mul(inv_acc, prefix[i - 1])
-            inv_acc = self.mul(inv_acc, values[i])
-        out[0] = inv_acc
-        return out
 
     def exp_group(self):
         """The tower's unit group as seen by :mod:`repro.exp`."""

@@ -159,7 +159,8 @@ def serve_request_batch(
     Only kinds with a batch entry point coalesce.  Key-agreement batches
     route through the scheme's ``key_agreement_many`` — same wire bytes as
     N :func:`serve_request` calls, but the per-session modular inversions
-    collapse to one per group round (Montgomery's trick, see
+    collapse to one per inverting map and group round (ECDH's affine
+    normalisation; CEILIDH's psi and rho), by Montgomery's trick (see
     :meth:`repro.field.backend.FieldOps.inv_many`).  Signature batches
     route through ``sign_many`` (RSA's CRT streams batch; randomized
     schemes keep the per-item loop and draw order inside the default).

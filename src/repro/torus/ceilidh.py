@@ -137,7 +137,7 @@ class CeilidhSystem:
         """:meth:`shared_secret` against N peers with batched inversions.
 
         The N psi decompressions and N rho compressions each run through
-        the batch maps (two batch inversions per direction instead of 2N);
+        the batch maps (one batch inversion per direction instead of N);
         the exponentiations are unchanged, so byte output and trace tallies
         match N single calls.  An exceptional *shared* point (O(1/p))
         re-runs only the cheap compression step per item, keeping the

@@ -27,9 +27,11 @@ to the published CEILIDH maps):
 
 ``psi(u, v)`` (decompression) evaluates exactly this; ``rho`` (compression)
 recovers ``c`` from alpha and returns ``u = (c0 - 1)/c2``, ``v = c1/c2``.
-The exceptional sets (identity, alpha = x, the ruling lines of the quadric
-through c = 1, directions on the asymptotic cone) have size O(p) out of ~p^2
-elements and raise :class:`~repro.errors.CompressionError`.
+Both are evaluated as closed forms in Fp3 that need one Fp inversion each
+(see :class:`TorusCompressor`).  The exceptional sets (identity, alpha = x,
+the ruling lines of the quadric through c = 1, directions on the asymptotic
+cone) have size O(p) out of ~p^2 elements and raise
+:class:`~repro.errors.CompressionError`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,15 @@ class CompressedElement:
 
 
 class TorusCompressor:
-    """The maps rho (compress) and psi (decompress) for a fixed T6 group."""
+    """The maps rho (compress) and psi (decompress) for a fixed T6 group.
+
+    Both maps are closed forms on the Fp3 halves of tau(alpha), with the
+    Fp3 division cleared through the adjugate
+    (:meth:`~repro.field.fp3.Fp3Field.adjugate`), so each costs one Fp
+    inversion.  Each map is split at that inversion into two per-item
+    stages, and the batch forms run the same stages around one
+    :meth:`~repro.field.fp.PrimeField.inv_many`.
+    """
 
     def __init__(self, group):
         # ``group`` is a repro.torus.t6.T6Group; imported lazily to avoid a cycle.
@@ -64,6 +74,8 @@ class TorusCompressor:
         self.tower = TowerFp6(self.fp)
         self.map = F1ToF2Map(self.fp6, self.tower)
         self.fp3 = self.tower.fp3
+        self._one3 = self.fp3.one()
+        self._two3 = self.fp3.from_base(2)
 
     # -- rho: T6 -> A^2 -----------------------------------------------------------
 
@@ -71,90 +83,62 @@ class TorusCompressor:
         """Compress a torus element (given in the F1 basis) to (u, v).
 
         Raises :class:`CompressionError` for the exceptional elements and
-        :class:`NotInTorusError` if the input is not in T6 at all.
+        :class:`NotInTorusError` if the input is not in the norm-1 subgroup
+        over Fp3 (which contains T6).
         """
-        if value.is_one():
-            raise CompressionError("the identity has no compressed representation")
-        alpha = self.map.to_f2(value)
-        one = self.tower.one()
-        x = self.tower.x()
-        x_squared = self.tower.mul(x, x)
-
-        denominator = one - alpha
-        if denominator.is_zero():  # pragma: no cover - equivalent to value == 1
-            raise CompressionError("alpha = 1 is exceptional")
-        c_element = self.tower.mul(
-            self.tower.mul(alpha, x_squared) - x, self.tower.inv(denominator)
-        )
-        if not c_element.is_fp3():
-            # (alpha*x^2 - x)/(1 - alpha) lies in Fp3 exactly when alpha has
-            # norm 1 over Fp3, which every torus element does.
-            raise NotInTorusError("element is not in the norm-1 subgroup over Fp3")
-        c0, c1, c2 = c_element.a.coeffs
-        if c2 == 0:
-            raise CompressionError(
-                "element lies on the exceptional line c2 = 0 (includes alpha = x)"
-            )
-        f = self.fp
-        c2_inv = f.inv(c2)
-        u = f.mul(f.sub(c0, f.one_value), c2_inv)
-        v = f.mul(c1, c2_inv)
-        # (u, v) is the wire-facing pair: exit the representation so the
-        # compressed element is backend-independent (plain reduced ints).
-        return CompressedElement(u=f.exit(u), v=f.exit(v))
+        u_numerator, v_numerator, w2 = self._rho_terms(value)
+        return self._rho_pair(u_numerator, v_numerator, self.fp.inv(w2))
 
     def compress_many(self, values) -> "list[CompressedElement]":
-        """Compress N torus elements with TWO batch inversions total.
+        """Compress N torus elements with ONE batch inversion total.
 
-        Each :meth:`compress` pays one Fp6-tower inversion plus one Fp
-        inversion; over a batch both collapse via Montgomery's trick
-        (:meth:`~repro.field.towers.TowerFp6.inv_many` /
-        :meth:`~repro.field.fp.PrimeField.inv_many`).  Results are
+        The per-item stages of :meth:`compress`, with the N Fp inversions
+        collapsed by Montgomery's trick
+        (:meth:`~repro.field.fp.PrimeField.inv_many`).  Results are
         byte-identical to N single calls.  Exceptional elements are as rare
         as for :meth:`compress` (O(p) of ~p^2); any one of them raises the
         same error the single call would, so callers that must make
         progress fall back to the per-item path on failure.
         """
-        values = list(values)
-        one = self.tower.one()
-        x = self.tower.x()
-        x_squared = self.tower.mul(x, x)
+        terms = [self._rho_terms(value) for value in values]
+        inverses = self.fp.inv_many([w2 for _, _, w2 in terms])
+        return [
+            self._rho_pair(u_numerator, v_numerator, w2_inv)
+            for (u_numerator, v_numerator, _), w2_inv in zip(terms, inverses)
+        ]
 
-        numerators = []
-        denominators = []
-        for value in values:
-            if value.is_one():
-                raise CompressionError("the identity has no compressed representation")
-            alpha = self.map.to_f2(value)
-            denominator = one - alpha
-            if denominator.is_zero():  # pragma: no cover - equivalent to value == 1
-                raise CompressionError("alpha = 1 is exceptional")
-            numerators.append(self.tower.mul(alpha, x_squared) - x)
-            denominators.append(denominator)
+    def _rho_terms(self, value: ExtElement) -> Tuple[int, int, int]:
+        """``(w0 - N, w1, w2)``, resident: u and v are the first two over w2.
 
+        Write tau(alpha) = a + b*x.  Membership needs the norm to Fp3,
+        a^2 - ab + b^2, to be 1, and then c = (alpha*x^2 - x)/(1 - alpha)
+        equals (1 - a + 2b)/(2 - 2a + b).  With d = 2 - 2a + b,
+        N = d*adj(d) in Fp and w = (1 - a + 2b)*adj(d), c = w/N, so
+        u = (c0 - 1)/c2 = (w0 - N)/w2 and v = c1/c2 = w1/w2.
+        """
+        if value.is_one():
+            raise CompressionError("the identity has no compressed representation")
+        alpha = self.map.to_f2(value)
+        fp3 = self.fp3
+        a, b = alpha.a, alpha.b
+        if not fp3.add(fp3.mul(fp3.sub(a, b), a), fp3.mul(b, b)).is_one():
+            raise NotInTorusError("element is not in the norm-1 subgroup over Fp3")
+        d = fp3.add(fp3.sub(self._two3, fp3.add(a, a)), b)
+        adj, norm = fp3.adjugate(d)
+        w0, w1, w2 = fp3.mul(fp3.sub(fp3.add(self._one3, fp3.add(b, b)), a), adj).coeffs
+        if w2 == 0:
+            raise CompressionError(
+                "element lies on the exceptional line c2 = 0 (includes alpha = x)"
+            )
+        return self.fp.sub(w0, norm), w1, w2
+
+    def _rho_pair(self, u_numerator: int, v_numerator: int, w2_inv: int) -> CompressedElement:
+        # (u, v) is the wire-facing pair: exit the representation so the
+        # compressed element is backend-independent (plain reduced ints).
         f = self.fp
-        c2_values = []
-        c_pairs = []
-        for numerator, denominator_inv in zip(
-            numerators, self.tower.inv_many(denominators)
-        ):
-            c_element = self.tower.mul(numerator, denominator_inv)
-            if not c_element.is_fp3():
-                raise NotInTorusError("element is not in the norm-1 subgroup over Fp3")
-            c0, c1, c2 = c_element.a.coeffs
-            if c2 == 0:
-                raise CompressionError(
-                    "element lies on the exceptional line c2 = 0 (includes alpha = x)"
-                )
-            c_pairs.append((c0, c1))
-            c2_values.append(c2)
-
-        compressed = []
-        for (c0, c1), c2_inv in zip(c_pairs, f.inv_many(c2_values)):
-            u = f.mul(f.sub(c0, f.one_value), c2_inv)
-            v = f.mul(c1, c2_inv)
-            compressed.append(CompressedElement(u=f.exit(u), v=f.exit(v)))
-        return compressed
+        return CompressedElement(
+            u=f.exit(f.mul(u_numerator, w2_inv)), v=f.exit(f.mul(v_numerator, w2_inv))
+        )
 
     # -- psi: A^2 -> T6 -------------------------------------------------------------
 
@@ -165,76 +149,66 @@ class TorusCompressor:
         conic u^2 + 4u + 3 + v - v^2 = 0 or parametrises the point c = 1
         (whose torus element alpha = x is itself exceptional for rho).
         """
-        f = self.fp
-        # Wire values are plain integers; enter the field's representation.
-        u, v = f.enter(compressed.u % f.p), f.enter(compressed.v % f.p)
-
-        # q(u, v, 1) = u^2 + 4u + 3 + v - v^2
-        q_val = f.add(f.add(f.add(f.mul(u, u), f.mul(f.embed(4), u)), f.embed(3)), f.sub(v, f.mul(v, v)))
-        if q_val == 0:
-            raise CompressionError("(u, v) lies on the exceptional conic of psi")
-        numerator = f.neg(f.add(u, f.embed(2)))
-        if numerator == 0:
-            raise CompressionError("(u, v) parametrises the exceptional point c = 1")
-        t = f.mul(numerator, f.inv(q_val))
-
-        c0 = f.add(f.one_value, f.mul(t, u))
-        c1 = f.mul(t, v)
-        c2 = t
-        c = self.fp3._from_coeffs([c0, c1, c2])
-
-        one3 = self.fp3.one()
-        # alpha = (c + x) / (c + x^2) with x^2 = -1 - x.
-        numerator_t = TowerElement(self.tower, c, one3)
-        denominator_t = TowerElement(self.tower, c - one3, self.fp3.from_base(f.p - 1))
-        if denominator_t.is_zero():  # pragma: no cover - cannot happen for t != 0
-            raise CompressionError("degenerate denominator in psi")
-        alpha = self.tower.mul(numerator_t, self.tower.inv(denominator_t))
-        return self.map.to_f1(alpha)
+        a, b, adj, norm = self._psi_terms(compressed)
+        return self._psi_element(a, b, adj, self.fp.inv(norm))
 
     def decompress_many(self, compresseds) -> "list[ExtElement]":
-        """Decompress N pairs with TWO batch inversions total.
+        """Decompress N pairs with ONE batch inversion total.
 
-        The batched dual of :meth:`compress_many`: the per-item Fp inversion
-        of the quadric value and the Fp6-tower inversion of the T2
-        denominator each collapse to one.  Same exceptional-set errors as
-        :meth:`decompress`; same fallback guidance as
-        :meth:`compress_many`.
+        The batched dual of :meth:`compress_many`, with the same
+        exceptional-set errors as :meth:`decompress` and the same fallback
+        guidance.
         """
-        compresseds = list(compresseds)
-        f = self.fp
-        entered = []
-        q_values = []
-        for compressed in compresseds:
-            u, v = f.enter(compressed.u % f.p), f.enter(compressed.v % f.p)
-            q_val = f.add(
-                f.add(f.add(f.mul(u, u), f.mul(f.embed(4), u)), f.embed(3)),
-                f.sub(v, f.mul(v, v)),
-            )
-            if q_val == 0:
-                raise CompressionError("(u, v) lies on the exceptional conic of psi")
-            if f.neg(f.add(u, f.embed(2))) == 0:
-                raise CompressionError("(u, v) parametrises the exceptional point c = 1")
-            entered.append((u, v))
-            q_values.append(q_val)
-
-        one3 = self.fp3.one()
-        minus_one = self.fp3.from_base(f.p - 1)
-        numerators_t = []
-        denominators_t = []
-        for (u, v), q_inv in zip(entered, f.inv_many(q_values)):
-            t = f.mul(f.neg(f.add(u, f.embed(2))), q_inv)
-            c0 = f.add(f.one_value, f.mul(t, u))
-            c = self.fp3._from_coeffs([c0, f.mul(t, v), t])
-            numerators_t.append(TowerElement(self.tower, c, one3))
-            denominators_t.append(TowerElement(self.tower, c - one3, minus_one))
-
+        terms = [self._psi_terms(compressed) for compressed in compresseds]
+        inverses = self.fp.inv_many([norm for *_, norm in terms])
         return [
-            self.map.to_f1(self.tower.mul(numerator, denominator_inv))
-            for numerator, denominator_inv in zip(
-                numerators_t, self.tower.inv_many(denominators_t)
-            )
+            self._psi_element(a, b, adj, norm_inv)
+            for (a, b, adj, _), norm_inv in zip(terms, inverses)
         ]
+
+    def _psi_terms(
+        self, compressed: CompressedElement
+    ) -> Tuple[ExtElement, ExtElement, ExtElement, int]:
+        """``(A, B, adj(D), N(D))`` with alpha = (A + B*x)/D.
+
+        The pencil through c = 1 gives c = (1 + t*u, t*v, t) with
+        t = s/q, s = -(u + 2) and q = q(u, v, 1).  Then
+        alpha = (c + x)/(c + x^2) = ((c^2 - 1) + (2c - 1)x)/(c^2 - c + 1)
+        is homogeneous of degree 2 in c, so with C = q*c = (q + s*u, s*v, s)
+        it is ((C^2 - q^2) + (2qC - q^2)x)/(C^2 - qC + q^2), and t is never
+        formed.  D = C^2 - qC + q^2 is q^2 times the norm of c + x^2 to Fp3,
+        never zero because x^2 is not in Fp3, so N(D) is invertible.
+        """
+        f = self.fp
+        fp3 = self.fp3
+        # Wire values are plain integers; enter the field's representation.
+        u, v = f.enter(compressed.u % f.p), f.enter(compressed.v % f.p)
+        # q(u, v, 1) = u^2 + 4u + 3 + v - v^2
+        q = f.add(
+            f.add(f.add(f.mul(u, u), f.mul(f.embed(4), u)), f.embed(3)),
+            f.sub(v, f.mul(v, v)),
+        )
+        if q == 0:
+            raise CompressionError("(u, v) lies on the exceptional conic of psi")
+        s = f.neg(f.add(u, f.embed(2)))
+        if s == 0:
+            raise CompressionError("(u, v) parametrises the exceptional point c = 1")
+        c = ExtElement._raw(fp3, (f.add(q, f.mul(s, u)), f.mul(s, v), s))
+        c_squared = fp3.sqr(c)
+        qc = fp3.scale(c, q)
+        q_squared = ExtElement._raw(fp3, (f.mul(q, q), 0, 0))
+        a = fp3.sub(c_squared, q_squared)
+        b = fp3.sub(fp3.add(qc, qc), q_squared)
+        adj, norm = fp3.adjugate(fp3.add(fp3.sub(c_squared, qc), q_squared))
+        return a, b, adj, norm
+
+    def _psi_element(
+        self, a: ExtElement, b: ExtElement, adj: ExtElement, norm_inv: int
+    ) -> ExtElement:
+        """alpha = (a + b*x)/D, given adj(D) and 1/N(D), in the F1 basis."""
+        fp3 = self.fp3
+        d_inv = fp3.scale(adj, norm_inv)
+        return self.map.to_f1(TowerElement(self.tower, fp3.mul(a, d_inv), fp3.mul(b, d_inv)))
 
     def decompress_to_element(self, compressed: CompressedElement):
         """Decompress and wrap as a :class:`~repro.torus.t6.TorusElement`."""

@@ -57,8 +57,11 @@ class TestFigures:
         assert by_key[("Fp", "add")].additions_total == 1
         # The conversion maps are linear: no Fp inversions.
         assert by_key[("F1 <-> F2", "tau")].inv == 0
-        # Compression needs at least one inversion (the 1/(1 - alpha) division).
-        assert by_key[("T6", "rho (compress)")].inv >= 1
+        # The closed forms: the Fp3 adjugate inverts once in Fp, rho once
+        # (clearing 1/(1 - alpha) through the adjugate), psi at most twice.
+        assert by_key[("Fp3", "inv")].inv == 1
+        assert by_key[("T6", "rho (compress)")].inv == 1
+        assert by_key[("T6", "psi (decompress)")].inv <= 2
 
     def test_fig2_inventory(self, platform):
         inventory = fig2_platform_inventory(platform)

@@ -550,32 +550,6 @@ class TestInvMany:
         assert field.counts.inv == 1
         assert field.counts.mul == 3 * (len(values) - 1)
 
-    def test_tower_inv_many_matches_singles(self):
-        # One poly-gcd inversion for N Fp6-tower inversions.
-        from repro.field.fp import PrimeField
-        from repro.field.towers import TowerElement, TowerFp6
-
-        field = PrimeField(1013, check_prime=False)  # p = 2 (mod 3)
-        tower = TowerFp6(field)
-        rng = random.Random(13)
-
-        def random_element():
-            while True:
-                coeffs = [[field.enter(rng.randrange(1013)) for _ in range(3)]
-                          for _ in range(2)]
-                element = TowerElement(
-                    tower,
-                    tower.fp3._from_coeffs(coeffs[0]),
-                    tower.fp3._from_coeffs(coeffs[1]),
-                )
-                if not element.is_zero():
-                    return element
-
-        values = [random_element() for _ in range(8)]
-        batch = tower.inv_many(values)
-        for value, inverse in zip(values, batch):
-            assert tower.mul(value, inverse) == tower.one()
-
 
 # ---------------------------------------------------------------------------
 # Batch APIs: byte identity with singles, and the inversion collapse.

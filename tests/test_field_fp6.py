@@ -11,7 +11,9 @@ from repro.field.fp6 import Fp6Field, make_fp6, split_halves
 from repro.field.fp2 import make_fp2
 from repro.field.fp3 import make_fp3
 from repro.field.opcount import CountingPrimeField
-from repro.torus.params import generate_parameters
+from repro.nt.factor import factorize
+from repro.torus.params import generate_parameters, get_parameters
+from repro.torus.t6 import T6Group, TorusElement
 
 #: The plain fast paths and the resident Montgomery representation.
 BACKENDS = ("plain", "montgomery")
@@ -98,6 +100,65 @@ class TestPaperMultiplication:
         z = toy32_fp6.generator()
         assert toy32_fp6.pow(z, 9).is_one()
         assert not toy32_fp6.pow(z, 3).is_one()
+
+
+def _torus_elements(fp6):
+    """Every element of T6(Fp), as the powers of a generator of the cyclic group."""
+    order = fp6.torus_order()
+    primes = factorize(order)
+    shift = 1
+    while True:
+        generator = fp6.project_to_torus(fp6([shift, 1, 2]))
+        if all(not fp6.pow(generator, order // r).is_one() for r in primes):
+            break
+        shift += 1
+    element = fp6.one()
+    for _ in range(order):
+        yield element
+        element = fp6.mul(element, generator)
+
+
+class TestCyclotomicSquaring:
+    @pytest.mark.parametrize("p", [11, 23, 47, 59])
+    def test_matches_schoolbook_on_every_torus_element(self, p):
+        # 11, 47 = 2 and 23, 59 = 5 (mod 9): both Frobenius permutations.
+        fp6 = make_fp6(PrimeField(p))
+        seen = 0
+        for a in _torus_elements(fp6):
+            assert fp6.sqr(a, cyclotomic=True) == fp6.mul_schoolbook(a, a), a
+            seen += 1
+        assert seen == p * p - p + 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_schoolbook_on_ceilidh170_elements(self, backend):
+        group = T6Group(get_parameters("ceilidh-170"), backend=backend)
+        fp6 = group.fp6
+        rng = random.Random(170)
+        for _ in range(20):
+            a = group.random_element(rng).value
+            assert fp6.sqr(a, cyclotomic=True) == fp6.mul_schoolbook(a, a)
+
+    def test_counting_field_keeps_18m(self, toy32_params, rng):
+        field = CountingPrimeField(toy32_params.p)
+        fp6 = make_fp6(field)
+        a = fp6.project_to_torus(fp6.random_nonzero(rng))
+        field.reset_counts()
+        square = fp6.sqr(a, cyclotomic=True)
+        assert field.counts.mul == 18
+        assert square == fp6.mul_schoolbook(a, a)
+
+    def test_torus_group_squares_cyclotomically(self, toy32_group, rng):
+        # The engine's squaring is the 6M formula, which is wrong off the
+        # torus: a non-member shows which formula ran.
+        fp6 = toy32_group.fp6
+        group = toy32_group.exp_group()
+        a = toy32_group.random_element(rng)
+        assert group.square(a).value == fp6.mul_schoolbook(a.value, a.value)
+        outside = fp6.random_nonzero(rng)
+        assert not toy32_group.contains_raw(outside)
+        squared = group.square(TorusElement(toy32_group, outside)).value
+        assert squared == fp6.sqr(outside, cyclotomic=True)
+        assert squared != fp6.mul_schoolbook(outside, outside)
 
 
 class TestCyclotomicStructure:

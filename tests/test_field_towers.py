@@ -1,10 +1,15 @@
 """Tests for the tower representation F2 and the tau conversion maps."""
 
+import random
+
 import pytest
 
 from repro.errors import ParameterError
+from repro.field.extension import ExtensionField
 from repro.field.fp import PrimeField
+from repro.field.fp3 import FP3_MODULUS, make_fp3
 from repro.field.fp6 import make_fp6
+from repro.field.opcount import CountingPrimeField
 from repro.field.towers import F1ToF2Map, TowerFp6
 
 
@@ -15,6 +20,43 @@ def setup(toy32_params):
     tower = TowerFp6(field)
     converter = F1ToF2Map(fp6, tower)
     return field, fp6, tower, converter
+
+
+class TestFp3ClosedForms:
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
+    def test_matches_generic_extension(self, toy32_params, backend):
+        p = toy32_params.p
+        field = PrimeField(p, backend=backend)
+        fp3 = make_fp3(field)
+        generic = ExtensionField(field, FP3_MODULUS, check_irreducible=False)
+        rng = random.Random(3)
+        samples = [[rng.randrange(p) for _ in range(3)] for _ in range(30)]
+        samples += [[0, 0, 1], [0, 1, 0], [1, 0, 0], [p - 1, p - 1, p - 1]]
+        for coeffs_a, coeffs_b in zip(samples, samples[1:] + samples[:1]):
+            a, b = fp3(coeffs_a), fp3(coeffs_b)
+            ga, gb = generic(coeffs_a), generic(coeffs_b)
+            assert fp3.mul(a, b) == generic.mul(ga, gb)
+            assert fp3.sqr(a) == generic.sqr(ga)
+            assert fp3.inv(a) == generic.inv(ga)
+            adj, norm = fp3.adjugate(a)
+            assert fp3.mul(a, adj) == fp3._from_coeffs([norm])
+            assert field.exit(norm) == generic.norm(ga)
+
+    def test_operation_counts(self, toy32_params, rng):
+        field = CountingPrimeField(toy32_params.p)
+        fp3 = make_fp3(field)
+        a, b = fp3.random_nonzero(rng), fp3.random_nonzero(rng)
+        field.reset_counts()
+        fp3.mul(a, b)
+        assert (field.counts.mul, field.counts.inv) == (6, 0)
+        field.reset_counts()
+        fp3.inv(a)
+        assert (field.counts.mul, field.counts.inv) == (12, 1)
+
+    def test_inverse_of_zero_raises(self):
+        fp3 = make_fp3(PrimeField(11))
+        with pytest.raises(ParameterError):
+            fp3.inv(fp3.zero())
 
 
 class TestTowerArithmetic:
