@@ -1,9 +1,8 @@
 """Cluster demo: shared-port worker processes, a crash, a rolling restart.
 
 Boots a :class:`repro.serve.cluster.ClusterSupervisor` with two worker
-processes sharing one listen port (``SO_REUSEPORT`` where the kernel has
-it, the consistent-hash front router elsewhere), then drives it with
-concurrent clients while exercising the lifecycle story:
+processes sharing one listen port through ``SO_REUSEPORT``, then drives it
+with concurrent clients while exercising the lifecycle story:
 
 1. a load run against the healthy cluster,
 2. a load run during which one worker is **killed** mid-flight — the
@@ -44,7 +43,7 @@ async def demo() -> None:
     cluster = ClusterSupervisor(workers=WORKERS, schemes=MIX.schemes)
     host, port = await cluster.start()
     print(f"cluster listening on {host}:{port} "
-          f"[{cluster.mode} mode, {WORKERS} workers, "
+          f"[{WORKERS} workers, "
           f"pids {cluster.worker_pids()}]")
 
     results = {}

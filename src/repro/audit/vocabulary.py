@@ -237,7 +237,6 @@ HEAVY_ASYNC_CALLS = frozenset(
         "montgomery_power",
         "montgomery_power_many",
         "run_batch",
-        "run_batch_parallel",
         "build_profile",
     }
 )

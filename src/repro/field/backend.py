@@ -239,69 +239,6 @@ class FieldOps:
     def pow(self, a: int, e: int) -> int:
         raise NotImplementedError
 
-    # -- array-resident batch API ----------------------------------------------
-    #
-    # Arrays of residents in, arrays of residents out, index-aligned.  Every
-    # method is value-identical to the equivalent loop of single calls — the
-    # ``inv_many`` contract — so backends are free to amortize work across
-    # the batch (shared tables) without changing any byte a protocol
-    # emits.  The defaults below are the correct plain-Python
-    # fallback every backend inherits.
-
-    @staticmethod
-    def _paired(a, b, what: str):
-        a = list(a)
-        b = list(b)
-        if len(a) != len(b):
-            raise ParameterError(
-                f"{what}: length mismatch ({len(a)} vs {len(b)})"
-            )
-        return a, b
-
-    def add_many(self, a, b) -> list:
-        """Element-wise ``a[i] + b[i]`` over resident arrays."""
-        a, b = self._paired(a, b, "add_many")
-        add = self.add
-        return [add(x, y) for x, y in zip(a, b)]
-
-    def sub_many(self, a, b) -> list:
-        """Element-wise ``a[i] - b[i]`` over resident arrays."""
-        a, b = self._paired(a, b, "sub_many")
-        sub = self.sub
-        return [sub(x, y) for x, y in zip(a, b)]
-
-    def mul_many(self, a, b) -> list:
-        """Element-wise ``a[i] * b[i]`` over resident arrays."""
-        a, b = self._paired(a, b, "mul_many")
-        mul = self.mul
-        return [mul(x, y) for x, y in zip(a, b)]
-
-    def sqr_many(self, values) -> list:
-        """Element-wise squaring over a resident array."""
-        sqr = self.sqr
-        return [sqr(v) for v in values]
-
-    def pow_many(self, bases, exponents) -> list:
-        """``bases[i] ** exponents[i]`` over resident arrays.
-
-        The default loops :meth:`pow`, so the result is byte-identical
-        everywhere.
-        """
-        bases, exponents = self._paired(bases, exponents, "pow_many")
-        pw = self.pow
-        return [pw(b, e) for b, e in zip(bases, exponents)]
-
-    def pow_many_shared_base(self, base, exponents) -> list:
-        """``base ** exponents[i]`` for one resident base, many exponents.
-
-        Backends whose single :meth:`pow` is Python-priced override this to
-        build one fixed-base table (``bit_length`` squarings) and amortize
-        it across the batch — the multiplicative twin of ``inv_many``'s
-        Montgomery trick.  The default loops :meth:`pow`.
-        """
-        pw = self.pow
-        return [pw(base, e) for e in exponents]
-
 
 class PlainFieldOps(FieldOps):
     """Ordinary reduced-integer arithmetic — the historical behaviour."""
@@ -369,33 +306,6 @@ class MontgomeryFieldOps(FieldOps):
         # A single field power is not a loop worth recoding: drop to the
         # plain representation, use the platform-native pow, re-enter.
         return self.enter(pow(self.exit(a), e, self.p))
-
-    def pow_many(self, bases, exponents) -> list:
-        bases, exponents = self._paired(bases, exponents, "pow_many")
-        p = self.p
-        enter = self.enter
-        exit_ = self.exit
-        return [enter(pow(exit_(b), e, p)) for b, e in zip(bases, exponents)]
-
-    def pow_many_shared_base(self, base, exponents) -> list:
-        """Shared-base powers without ever leaving residency.
-
-        Residents under ``mont_mul`` form a group isomorphic to ``Z_p^*``
-        (identity ``R mod p``), so one
-        :class:`~repro.exp.strategies.FixedBaseTable` built over the bound
-        ops — ``max_bits`` squarings, paid once — serves the whole batch
-        with only multiplications per element.  Exact arithmetic makes the
-        values identical to looping :meth:`pow`; negative or tiny batches
-        fall back to the loop.
-        """
-        exponents = list(exponents)
-        if len(exponents) < 2 or any(e < 0 for e in exponents):
-            return [self.pow(base, e) for e in exponents]
-        from repro.exp.strategies import FixedBaseTable
-
-        max_bits = max(e.bit_length() for e in exponents)
-        table = FixedBaseTable(_BoundOpsExpGroup(self), base, max_bits or 1)
-        return [table.power(e) for e in exponents]
 
 
 class _BoundOpsExpGroup:
@@ -538,15 +448,6 @@ class WordCountingFieldOps(MontgomeryFieldOps):
         if e < 0:
             return exponentiate(group, self.inv(a), -e)
         return exponentiate(group, a, e)
-
-    def pow_many(self, bases, exponents) -> list:
-        # The Montgomery override drops to the builtin ``pow``, which would
-        # bypass word-level tallying; loop the counting pow instead.  (The
-        # inherited shared-base table path already runs every product
-        # through the bound ops, so it tallies correctly as-is.)
-        bases, exponents = self._paired(bases, exponents, "pow_many")
-        pw = self.pow
-        return [pw(b, e) for b, e in zip(bases, exponents)]
 
 
 # ---------------------------------------------------------------------------

@@ -270,31 +270,6 @@ class ExtensionField:
 
         return exponentiate(self.exp_group(), a, e, strategy=strategy, trace=trace)
 
-    def pow_many(
-        self, bases, exponents, strategy: str = "auto", trace=None
-    ) -> "list[ExtElement]":
-        """Batch ``bases[i]^exponents[i]`` through the engine's batch entry.
-
-        Shared-base runs amortize one fixed-base table (see
-        :func:`repro.exp.strategies.exponentiate_many`); value-identical to
-        N single :meth:`pow` calls.
-        """
-        from repro.exp.strategies import exponentiate_many
-
-        return exponentiate_many(
-            self.exp_group(), bases, exponents, strategy=strategy, trace=trace
-        )
-
-    def pow_many_shared_base(
-        self, base, exponents, strategy: str = "auto", trace=None
-    ) -> "list[ExtElement]":
-        """``base^e`` for many exponents with one shared precomputation."""
-        from repro.exp.strategies import exponentiate_shared_base
-
-        return exponentiate_shared_base(
-            self.exp_group(), base, exponents, strategy=strategy, trace=trace
-        )
-
     # -- Galois structure ----------------------------------------------------
 
     def _frobenius_matrix(self, k: int) -> List[List[int]]:

@@ -71,8 +71,6 @@ class PrimeField:
             self.sqr = self.backend.sqr
             self.inv = self.backend.inv
             self.inv_many = self.backend.inv_many
-            self.pow_many = self.backend.pow_many
-            self.pow_many_shared_base = self.backend.pow_many_shared_base
         self._exp_group: Optional[FieldExpGroup] = None
 
     # -- representation boundary -------------------------------------------
@@ -149,34 +147,6 @@ class PrimeField:
             inv_acc = mul(inv_acc, values[i])
         out[0] = inv_acc
         return out
-
-    def pow_many(self, bases, exponents) -> list:
-        """Batch power: ``bases[i] ** exponents[i]`` over resident arrays.
-
-        The batch twin of :meth:`pow` and the field-level mouth of the
-        backend seam: non-plain backends rebind this to the backend's
-        :meth:`~repro.field.backend.FieldOps.pow_many`, and the plain
-        default loops the builtin ``pow``.
-        Value-identical to N single :meth:`pow` calls by contract.
-        """
-        bases = list(bases)
-        exponents = list(exponents)
-        if len(bases) != len(exponents):
-            raise ParameterError(
-                f"pow_many: length mismatch ({len(bases)} vs {len(exponents)})"
-            )
-        pw = self.pow
-        return [pw(b, e) for b, e in zip(bases, exponents)]
-
-    def pow_many_shared_base(self, base, exponents) -> list:
-        """Batch power of one resident base by many exponents.
-
-        Montgomery-resident backends amortize a shared fixed-base table
-        across the exponents; the plain default loops :meth:`pow`.  Same
-        values as the loop, always.
-        """
-        pw = self.pow
-        return [pw(base, e) for e in exponents]
 
     def exp_group(self) -> FieldExpGroup:
         """The multiplicative group Fp* as seen by :mod:`repro.exp`."""

@@ -178,31 +178,6 @@ class TowerFp6:
 
         return exponentiate(self.exp_group(), u, e, strategy=strategy, trace=trace)
 
-    def pow_many(
-        self, bases, exponents, strategy: str = "auto", trace=None
-    ) -> "list[TowerElement]":
-        """Batch ``bases[i]^exponents[i]`` through the engine's batch entry.
-
-        The tower's cheap Frobenius inverse makes wNAF the single-call
-        default; shared-base runs instead amortize one fixed-base table
-        across the batch.  Value-identical to N single :meth:`pow` calls.
-        """
-        from repro.exp.strategies import exponentiate_many
-
-        return exponentiate_many(
-            self.exp_group(), bases, exponents, strategy=strategy, trace=trace
-        )
-
-    def pow_many_shared_base(
-        self, base, exponents, strategy: str = "auto", trace=None
-    ) -> "list[TowerElement]":
-        """``base^e`` for many exponents with one shared precomputation."""
-        from repro.exp.strategies import exponentiate_shared_base
-
-        return exponentiate_shared_base(
-            self.exp_group(), base, exponents, strategy=strategy, trace=trace
-        )
-
     def frobenius_p3(self, u: TowerElement) -> TowerElement:
         """The Frobenius of Fp6 over Fp3 (same as conjugation over Fp3)."""
         return u.conjugate()

@@ -97,7 +97,6 @@ def _show_scaling_table(entries) -> None:
             (
                 record.scheme[len("serve-cluster:"):],
                 operation or record.operation,
-                record.meta.get("mode", "-"),
                 record.meta.get("workers", workers_tag or "-"),
                 round(record.ops_per_second, 2),
                 f"{efficiency:.2f}" if isinstance(efficiency, (int, float)) else "-",
@@ -106,7 +105,7 @@ def _show_scaling_table(entries) -> None:
     cores_note = ", ".join(str(core) for core in sorted(cores, key=str))
     print(
         render_table(
-            ["scheme", "operation", "mode", "workers", "sess/s", "efficiency"],
+            ["scheme", "operation", "workers", "sess/s", "efficiency"],
             rows,
             title=f"Cluster scaling (measured on {cores_note} core(s); "
                   f"efficiency = sess/s at N workers / N x single-worker)",

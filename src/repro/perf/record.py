@@ -113,7 +113,7 @@ def record_from_batch(result, scheme=None, platform=None, **meta: Any) -> PerfRe
     squarings/multiplications are priced through
     ``scheme.platform_cycles_per_operation`` into ``projected_cycles``.
     Extra keyword arguments land in ``meta`` (e.g. ``quick=True``,
-    ``workers=4``).
+    ``backend="montgomery"``).
     """
     projected: Optional[int] = None
     if scheme is not None and platform is not None:

@@ -18,16 +18,14 @@ from __future__ import annotations
 import hmac
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; every runtime sampling
-    # site goes through resolve_rng (PR 3), and the one seeded construction
-    # left (the parallel worker) imports locally in the child process.
+    # site goes through resolve_rng.
     import random
 
 from repro.errors import ParameterError, UnsupportedOperationError
 from repro.exp.trace import OpTrace
-from repro.nt import sampling as _sampling
 from repro.nt.sampling import resolve_rng
 from repro.pkc.base import ENCRYPTION, KEY_AGREEMENT, SIGNATURE, PkcScheme, SchemeKeyPair
 from repro.pkc.registry import get_scheme
@@ -78,7 +76,6 @@ def _coalesced_key_agreement_batch(
 __all__ = [
     "BatchResult",
     "run_batch",
-    "run_batch_parallel",
     "registry_batch_comparison",
     "BATCH_OPERATIONS",
 ]
@@ -140,7 +137,6 @@ def run_batch(
     payload: bytes = b"batched session payload.........",
     server: Optional[SchemeKeyPair] = None,
     collect_ops: bool = True,
-    workers: int = 1,
     backend: Optional[str] = None,
     coalesce: bool = True,
 ) -> BatchResult:
@@ -158,8 +154,7 @@ def run_batch(
     is created once outside the timed region, so the batch measures the
     steady-state serving cost.  ``collect_ops=False`` drops the group-
     operation tally and takes the engine's tracing-free fast path (the
-    ``ops`` field of the result stays zero).  ``workers > 1`` splits the
-    batch over that many OS processes (see :func:`run_batch_parallel`).
+    ``ops`` field of the result stays zero).
 
     The RNG is resolved exactly once here — the system CSPRNG unless a
     seeded generator is injected — and threaded down through every keygen,
@@ -201,21 +196,6 @@ def run_batch(
     capability = BATCH_OPERATIONS[operation]
     if capability not in scheme.capabilities:
         raise UnsupportedOperationError(f"{scheme.name} does not implement {operation}")
-    if workers > 1:
-        if server is not None:
-            raise ParameterError(
-                "a shared server key cannot cross process boundaries; "
-                "each parallel worker serves with its own long-lived key"
-            )
-        # Workers re-resolve the scheme by name; carry the instance's own
-        # backend over so the parallel path measures the same substrate.
-        if backend is None:
-            backend = getattr(getattr(scheme, "field_backend", None), "name", None)
-        return run_batch_parallel(
-            scheme.name, operation, sessions, workers,
-            rng=rng, payload=payload, collect_ops=collect_ops,
-            backend=backend,
-        )
     rng = resolve_rng(rng)
 
     server = server or scheme.keygen(rng)
@@ -245,95 +225,12 @@ def run_batch(
     )
 
 
-def _parallel_worker(args) -> BatchResult:
-    """One worker's share of a parallel batch (runs in a child process).
-
-    Receives the scheme *name* rather than the adapter so each process
-    resolves its own instance (with its own fixed-base tables and server
-    key) from the registry; ``seed=None`` means the worker samples from its
-    own OS CSPRNG.
-    """
-    from random import Random
-
-    scheme_name, operation, sessions, seed, payload, collect_ops, backend = args
-    rng = Random(seed) if seed is not None else None
-    scheme = get_scheme(scheme_name, backend=backend)
-    return run_batch(
-        scheme, operation, sessions, rng=rng, payload=payload, collect_ops=collect_ops
-    )
-
-
-def run_batch_parallel(
-    scheme_name: str,
-    operation: str,
-    sessions: int,
-    workers: int,
-    rng: Optional["random.Random"] = None,
-    payload: bytes = b"batched session payload.........",
-    collect_ops: bool = True,
-    backend: Optional[str] = None,
-) -> BatchResult:
-    """Split one batch across ``workers`` OS processes and merge the results.
-
-    Multi-core serving: each worker owns a long-lived server key and runs
-    ``sessions // workers`` (+1 for the remainder) independent sessions.
-    Group operations and wire bytes are summed; ``wall_seconds`` is the
-    longest worker's *timed region* — the concurrent serving time, excluding
-    process spawn and interpreter start-up, which a real deployment pays
-    once at boot, not per batch.  With an injected seeded ``rng``, each
-    worker receives a seed drawn from it, keeping parallel runs
-    reproducible.
-    """
-    import concurrent.futures
-
-    if workers < 1:
-        raise ParameterError("a parallel batch needs at least one worker")
-    if sessions < 0:
-        raise ParameterError("a batch cannot have a negative session count")
-    if sessions == 0:
-        # Nothing to run: an empty result, not a divmod(0, 0) crash from the
-        # worker cap below.
-        return BatchResult(
-            scheme=scheme_name, operation=operation, sessions=0, wall_seconds=0.0
-        )
-    workers = min(workers, sessions)
-    share, remainder = divmod(sessions, workers)
-    shares = [share + (1 if i < remainder else 0) for i in range(workers)]
-    # Only derive worker seeds from an explicitly injected (deterministic)
-    # generator; with the default CSPRNG each worker samples its own.  The
-    # module attribute is read at call time so a monkeypatched default is
-    # still recognised as "not injected".
-    seeded = rng is not None and rng is not _sampling.DEFAULT_RNG
-    seeds = [rng.getrandbits(64) if seeded else None for _ in range(workers)]
-    jobs = [
-        (scheme_name, operation, shares[i], seeds[i], payload, collect_ops, backend)
-        for i in range(workers)
-    ]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results: List[BatchResult] = list(pool.map(_parallel_worker, jobs))
-
-    merged_ops = OpTrace()
-    wire = 0
-    for result in results:
-        merged_ops.merge(result.ops)
-        wire += result.wire_bytes
-    return BatchResult(
-        scheme=scheme_name,
-        operation=operation,
-        sessions=sessions,
-        wall_seconds=max(result.wall_seconds for result in results),
-        ops=merged_ops,
-        wire_bytes=wire,
-    )
-
-
 def registry_batch_comparison(
     names: Sequence[str],
     operation: str = "key-agreement",
     sessions: int = 8,
     rng: Optional["random.Random"] = None,
     collect_ops: bool = True,
-    workers: int = 1,
     backend: Optional[str] = None,
 ) -> "list[BatchResult]":
     """Batch every named scheme that supports ``operation`` — one generic loop."""
@@ -342,9 +239,6 @@ def registry_batch_comparison(
             f"unknown batch operation {operation!r}; available: {sorted(BATCH_OPERATIONS)}"
         )
     capability = BATCH_OPERATIONS[operation]
-    # No pre-resolution here: run_batch resolves at its own entry, and the
-    # parallel dispatch must still see "no rng injected" as None so workers
-    # sample their own CSPRNGs.
     results = []
     for name in names:
         scheme = get_scheme(name, backend=backend)
@@ -352,8 +246,7 @@ def registry_batch_comparison(
             continue
         results.append(
             run_batch(
-                scheme, operation, sessions, rng=rng,
-                collect_ops=collect_ops, workers=workers,
+                scheme, operation, sessions, rng=rng, collect_ops=collect_ops
             )
         )
     return results

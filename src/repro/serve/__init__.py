@@ -57,8 +57,6 @@ __all__ = [
     "BatchScheduler",
     "SchemeHost",
     "ClusterSupervisor",
-    "FrontRouter",
-    "HashRing",
 ]
 
 _LAZY = {
@@ -67,8 +65,6 @@ _LAZY = {
     "BatchScheduler": ("repro.serve.scheduler", "BatchScheduler"),
     "SchemeHost": ("repro.serve.scheduler", "SchemeHost"),
     "ClusterSupervisor": ("repro.serve.cluster", "ClusterSupervisor"),
-    "FrontRouter": ("repro.serve.router", "FrontRouter"),
-    "HashRing": ("repro.serve.router", "HashRing"),
 }
 
 

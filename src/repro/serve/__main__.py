@@ -7,10 +7,9 @@ Three subcommands:
   For more than one core, use ``cluster``.
 
 * ``cluster`` — run a :class:`~repro.serve.cluster.ClusterSupervisor`:
-  ``--workers N`` independent server processes sharing one port
-  (``SO_REUSEPORT`` where available, else the scheme-affinity front
-  router), with crash restart, graceful drain on ``SIGTERM`` and a rolling
-  restart on ``SIGHUP``.
+  ``--workers N`` independent server processes sharing one port through
+  ``SO_REUSEPORT``, with crash restart, graceful drain on ``SIGTERM`` and
+  a rolling restart on ``SIGHUP``.
 
 * ``load`` — the measuring harness of the serving acceptance story: the one
   load generator, :func:`repro.traffic.run_traffic`, over a list of mixes
@@ -99,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--port", type=int, default=9876)
     cluster.add_argument("--workers", type=int, default=2,
                          help="worker processes sharing the port (default: 2)")
-    cluster.add_argument("--mode", choices=("auto", "reuseport", "router"),
-                         default="auto",
-                         help="port sharing: kernel SO_REUSEPORT balancing or the "
-                              "scheme-affinity front router (auto: reuseport "
-                              "where available)")
     cluster.add_argument("--schemes", default=None,
                          help="comma-separated allowlist (default: whole registry)")
     cluster.add_argument("--backend", default=None,
@@ -137,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scaling sweep: run the mixes against a fresh cluster at "
                            "each worker count (1 is prepended as the efficiency "
                            "reference) and emit serve-cluster: rows")
-    load.add_argument("--cluster-mode", choices=("auto", "reuseport", "router"),
-                      default="auto", help="port sharing for --cluster sweeps")
     load.add_argument("--mix", default=None, metavar="NAME",
                       help="drive a seeded traffic-model mix (zipf popularity, "
                            "bursty arrivals, secure channels) instead of one "
@@ -227,7 +219,7 @@ def _print_runs(runs: Runs, efficiency: Efficiency) -> None:
 
 def _emit_records(
     runs: Runs, single: Dict[str, float], efficiency: Efficiency, args,
-    backend_name: str, mode: str,
+    backend_name: str,
 ) -> pathlib.Path:
     """Merge every run's rows into ``BENCH_pkc.json``.
 
@@ -277,7 +269,6 @@ def _emit_records(
                 if workers:
                     meta.update(
                         workers=workers,
-                        mode=mode,
                         cpu_count=os.cpu_count(),
                         scaling_efficiency=efficiency.get((workers, key)),
                         single_worker_sessions_per_second=single.get(key),
@@ -360,14 +351,12 @@ async def _run_load_command(args) -> int:
     ))
 
     runs: Runs = []
-    mode = args.cluster_mode
     server: Optional[ServeServer] = None
     for workers in counts:
         cluster = None
         if workers:
             cluster = ClusterSupervisor(
                 workers=workers,
-                mode=args.cluster_mode,
                 schemes=schemes,
                 backend=args.backend,
                 pool_workers=args.workers,
@@ -375,8 +364,7 @@ async def _run_load_command(args) -> int:
                 queue_size=args.queue_size,
             )
             host, port = await cluster.start()
-            mode = cluster.mode  # auto resolved to a concrete mode
-            target = f"{workers} worker(s) [{mode}] at {host}:{port}"
+            target = f"{workers} worker(s) at {host}:{port}"
         elif args.connect:
             host, _, port_text = args.connect.rpartition(":")
             port = int(port_text)
@@ -458,7 +446,7 @@ async def _run_load_command(args) -> int:
         print("perf trajectory NOT updated (run failed)")
         return 1
     if not args.no_emit:
-        path = _emit_records(runs, single, efficiency, args, backend_name, mode)
+        path = _emit_records(runs, single, efficiency, args, backend_name)
         print(f"perf trajectory updated: {path}")
     return 0
 
@@ -472,7 +460,6 @@ async def _run_cluster_command(args) -> int:
         workers=args.workers,
         host=args.host,
         port=args.port,
-        mode=args.mode,
         schemes=schemes,
         backend=args.backend,
         pool_workers=args.pool_workers,
@@ -482,7 +469,7 @@ async def _run_cluster_command(args) -> int:
     address = await supervisor.start()
     names = ", ".join(sorted(supervisor.preset_keys))
     print(f"repro.serve cluster listening on {address[0]}:{address[1]} "
-          f"[{supervisor.mode}, {supervisor.workers} workers, pids "
+          f"[{supervisor.workers} workers, pids "
           f"{supervisor.worker_pids()}] serving: {names}")
     print("SIGHUP: rolling restart; SIGTERM/SIGINT: graceful drain and exit")
 

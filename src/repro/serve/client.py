@@ -184,8 +184,7 @@ class ServeClient:
             if code == ERR_UNSUPPORTED:
                 raise UnsupportedOperationError(detail)
             if code in (ERR_UNAVAILABLE, ERR_IDLE_TIMEOUT):
-                # Draining worker (or routerless cluster) / idle-evicted
-                # connection: reconnect — a fresh connection lands on a
+                # Draining worker / idle-evicted connection: reconnect — a fresh connection lands on a
                 # live worker — rather than retrying on this one.
                 raise UnavailableError(detail)
             if code == ERR_OVER_QUOTA:

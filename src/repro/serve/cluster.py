@@ -5,17 +5,10 @@ cluster takes the other axis: **N independent worker processes**, each a
 complete :class:`~repro.serve.server.ServeServer` with its own event loop,
 scheduler and pool, sharing one public listen port.
 
-Two sharing modes, picked automatically:
-
-* ``reuseport`` — every worker binds the same port with ``SO_REUSEPORT``
-  and the kernel balances *connections* across the listeners.  Zero code
-  in the data path; the scale-out default wherever the option exists
-  (Linux, modern BSDs/macOS).
-* ``router`` — a lightweight asyncio front
-  (:class:`~repro.serve.router.FrontRouter`) terminates the public port
-  and proxies frames to per-worker backend ports, consistent-hashing the
-  negotiated scheme onto a worker so same-scheme traffic stays on one warm
-  registry instance.  The portable fallback, and the scheme-aware path.
+Every worker binds the same port with ``SO_REUSEPORT`` and the kernel
+balances *connections* across the listeners, so no code runs in the data
+path.  A platform without the option cannot host a cluster:
+:class:`ClusterSupervisor` refuses to construct there.
 
 What makes N processes *one server* rather than N servers on a shared
 port: the supervisor generates every scheme's long-lived key pair **once**
@@ -52,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-from repro.serve.router import FrontRouter
 from repro.serve.server import ServeServer
 
 __all__ = ["WorkerSpec", "ClusterSupervisor", "reuseport_available"]
@@ -76,7 +68,6 @@ class WorkerSpec:
     epoch: int
     host: str
     port: int
-    reuse_port: bool
     schemes: Optional[Tuple[str, ...]]
     backend: Optional[str]
     pool_workers: Optional[int]
@@ -96,15 +87,15 @@ async def _worker_serve(spec: WorkerSpec, events) -> None:
         workers=spec.pool_workers,
         max_batch=spec.max_batch,
         queue_size=spec.queue_size,
-        reuse_port=spec.reuse_port,
+        reuse_port=True,
         preset_keys=spec.preset_keys,
     )
     stop_event = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(signum, stop_event.set)
-    host, port = await server.start()
-    events.put(("ready", spec.index, spec.epoch, host, port))
+    await server.start()
+    events.put(("ready", spec.index, spec.epoch))
     await stop_event.wait()
     # SIGTERM is the graceful path: everything already accepted is answered
     # and flushed before the process exits; late frames get an explicit
@@ -137,15 +128,12 @@ def _generate_preset_keys(
 class _Worker:
     """Supervisor-side state for one worker slot."""
 
-    __slots__ = (
-        "spec", "process", "ready", "address", "phase", "backoff", "restarts"
-    )
+    __slots__ = ("spec", "process", "ready", "phase", "backoff", "restarts")
 
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.ready = asyncio.Event()
-        self.address: Optional[Tuple[str, int]] = None
         self.phase = "stopped"  # stopped | starting | running | restarting
         self.backoff = 0.1
         self.restarts = 0
@@ -166,21 +154,20 @@ class ClusterSupervisor:
         workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        mode: str = "auto",
         schemes: Optional[Sequence[str]] = None,
         backend: Optional[str] = None,
         pool_workers: Optional[int] = None,
         max_batch: int = 32,
         queue_size: int = 256,
         rng=None,
-        vnodes: int = 64,
     ):
         if workers < 1:
             raise ParameterError("a cluster needs at least one worker")
-        if mode not in ("auto", "reuseport", "router"):
-            raise ParameterError(f"unknown cluster mode {mode!r}")
-        if mode == "reuseport" and not reuseport_available():
-            raise ParameterError("SO_REUSEPORT is not available on this platform")
+        if not reuseport_available():
+            raise ParameterError(
+                "a cluster shares its port through SO_REUSEPORT, which this "
+                "platform does not provide"
+            )
         if schemes is not None:
             # Fail fast on typos: a name the registry does not know would
             # otherwise only surface as an error frame at HELLO time.
@@ -195,10 +182,6 @@ class ClusterSupervisor:
         self.workers = workers
         self.bind_host = host
         self.bind_port = port
-        self.requested_mode = mode
-        self.mode = mode if mode != "auto" else (
-            "reuseport" if reuseport_available() else "router"
-        )
         self.schemes = tuple(schemes) if schemes is not None else None
         self.backend = backend
         self.pool_workers = pool_workers
@@ -206,8 +189,6 @@ class ClusterSupervisor:
         self.queue_size = queue_size
         self._rng = rng
         self.preset_keys: Dict[str, Any] = {}
-        self.router: Optional[FrontRouter] = None
-        self._vnodes = vnodes
         self._ctx = multiprocessing.get_context("spawn")
         self._events: Optional[Any] = None
         self._workers: List[_Worker] = []
@@ -225,9 +206,6 @@ class ClusterSupervisor:
         """The public ``(host, port)`` clients connect to."""
         if not self._started:
             raise ParameterError("cluster is not running")
-        if self.mode == "router":
-            assert self.router is not None
-            return self.router.address
         return self.bind_host, self.bind_port
 
     @property
@@ -257,22 +235,14 @@ class ClusterSupervisor:
             None, _generate_preset_keys, self.schemes, self.backend, self._rng
         )
         self._events = self._ctx.Queue()
-        if self.mode == "reuseport":
-            # Resolve port 0 once and hold the bound (never listening)
-            # socket for the cluster's lifetime: TCP lookup only considers
-            # listeners, so the anchor never receives traffic, but it keeps
-            # the port reserved across worker restarts.
-            self._anchor = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._anchor.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self._anchor.bind((self.bind_host, self.bind_port))
-            self.bind_port = self._anchor.getsockname()[1]
-        else:
-            self.router = FrontRouter(
-                host=self.bind_host,
-                port=self.bind_port,
-                workers=self.workers,
-                vnodes=self._vnodes,
-            )
+        # Resolve port 0 once and hold the bound (never listening) socket
+        # for the cluster's lifetime: TCP lookup only considers listeners,
+        # so the anchor never receives traffic, but it keeps the port
+        # reserved across worker restarts.
+        self._anchor = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._anchor.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        self._anchor.bind((self.bind_host, self.bind_port))
+        self.bind_port = self._anchor.getsockname()[1]
         self._workers = [
             _Worker(self._make_spec(index, epoch=0)) for index in range(self.workers)
         ]
@@ -286,8 +256,6 @@ class ClusterSupervisor:
         except Exception:
             await self.stop(drain=False)
             raise
-        if self.router is not None:
-            await self.router.start()
         self._monitor_task = loop.create_task(self._monitor())
         self._started = True
         return self.address
@@ -322,9 +290,6 @@ class ClusterSupervisor:
                 process.kill()
                 await loop.run_in_executor(None, process.join, 5.0)
             worker.phase = "stopped"
-        if self.router is not None:
-            await self.router.stop()
-            self.router = None
         if self._events is not None:
             self._events.put(None)  # releases the pump's blocking get
         if self._pump_task is not None:
@@ -352,8 +317,6 @@ class ClusterSupervisor:
         loop = asyncio.get_running_loop()
         for worker in self._workers:
             worker.phase = "restarting"  # the monitor must not race us
-            if self.router is not None:
-                self.router.remove_backend(worker.spec.index)
             process = worker.process
             if process is not None and process.is_alive():
                 assert process.pid is not None
@@ -368,8 +331,8 @@ class ClusterSupervisor:
     async def kill_worker(self, index: int) -> None:
         """SIGKILL one worker — the crash the monitor exists to absorb.
 
-        Test helper: after this returns, the monitor notices the death,
-        removes the worker from routing, and respawns it with backoff."""
+        Test helper: after this returns, the monitor notices the death and
+        respawns the worker with backoff."""
         worker = self._workers[index]
         if worker.process is not None and worker.process.is_alive():
             worker.process.kill()
@@ -380,18 +343,11 @@ class ClusterSupervisor:
     # -- internals -----------------------------------------------------------------
 
     def _make_spec(self, index: int, epoch: int) -> WorkerSpec:
-        if self.mode == "reuseport":
-            host, port, reuse = self.bind_host, self.bind_port, True
-        else:
-            # Router mode: each worker binds its own ephemeral backend port
-            # on loopback; only the front's port is public.
-            host, port, reuse = "127.0.0.1", 0, False
         return WorkerSpec(
             index=index,
             epoch=epoch,
-            host=host,
-            port=port,
-            reuse_port=reuse,
+            host=self.bind_host,
+            port=self.bind_port,
             schemes=self.schemes,
             backend=self.backend,
             pool_workers=self.pool_workers,
@@ -402,7 +358,6 @@ class ClusterSupervisor:
 
     def _spawn(self, worker: _Worker) -> None:
         worker.ready = asyncio.Event()
-        worker.address = None
         worker.phase = "starting"
         process = self._ctx.Process(
             target=_worker_main,
@@ -432,17 +387,14 @@ class ClusterSupervisor:
                 return
             if event is None:  # stop() sentinel
                 return
-            kind, index, epoch = event[0], event[1], event[2]
+            kind, index, epoch = event
             worker = self._workers[index]
             if epoch != worker.spec.epoch:
                 continue  # stale message from a replaced generation
             if kind == "ready":
-                worker.address = (event[3], event[4])
                 worker.phase = "running"
                 worker.backoff = self.BACKOFF_FLOOR
                 worker.ready.set()
-                if self.router is not None:
-                    self.router.set_backend(index, worker.address)
 
     async def _monitor(self) -> None:
         """Notice dead workers and restart them with bounded backoff."""
@@ -457,8 +409,6 @@ class ClusterSupervisor:
                 if process is None or process.is_alive():
                     continue
                 worker.phase = "restarting"
-                if self.router is not None:
-                    self.router.remove_backend(worker.spec.index)
                 task = asyncio.get_running_loop().create_task(
                     self._restart_after_crash(worker)
                 )

@@ -186,7 +186,7 @@ ERR_NO_SESSION = 4  #: an operation arrived before a successful HELLO
 ERR_UNSUPPORTED = 5  #: the negotiated scheme lacks the requested capability
 ERR_BAD_REQUEST = 6  #: malformed payload (bad point, bad ciphertext...)
 ERR_INTERNAL = 7
-ERR_UNAVAILABLE = 8  #: draining worker or routerless cluster — reconnect, retry
+ERR_UNAVAILABLE = 8  #: draining worker — reconnect, retry
 ERR_OVER_QUOTA = 9  #: per-client token bucket empty or channel cap reached
 ERR_NO_CHANNEL = 10  #: channel id unknown — never opened, closed, or idle-evicted
 ERR_REPLAY = 11  #: record sequence number replayed or reordered; channel torn down

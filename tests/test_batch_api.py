@@ -1,12 +1,9 @@
-"""Tests for the vectorised batch field API and its consumers.
+"""Tests for the batch entry points above the field layer.
 
-Covers the :class:`~repro.field.backend.FieldOps` array methods on every
-backend (per-item loop equivalence, empty and singleton batches, mixed
-exponent widths, exponents 0/1 and negatives), the resident-Montgomery
-shared-base table, the ``exponentiate_many`` seam, scheme-level
-batch-vs-loop byte identity for every registry scheme on every backend,
-and the serve scheduler's batch routing: which kinds coalesce, and the
-per-item loop that answers every request of a mixed good/bad batch once.
+Covers the ``exponentiate_many`` seam, scheme-level batch-vs-loop byte
+identity for every registry scheme on every backend, and the serve
+scheduler's batch routing: which kinds coalesce, and the per-item loop
+that answers every request of a mixed good/bad batch once.
 """
 
 from __future__ import annotations
@@ -23,141 +20,8 @@ from repro.pkc.registry import available_schemes
 
 P32 = 2494740737  # toy-32 CEILIDH prime (p = 2 mod 9)
 P127 = (1 << 127) - 1  # multi-word: exercises the Montgomery word paths
-P170 = 1109485483118704838530651968604888341434144398802927  # ceilidh-170 p
 
 BACKENDS = ("plain", "montgomery", "word-counting")
-
-
-def _fields(p):
-    plain = PrimeField(p, check_prime=False)
-    return plain, {name: PrimeField(p, check_prime=False, backend=name) for name in BACKENDS}
-
-
-# ---------------------------------------------------------------------------
-# FieldOps array methods: batch == loop on every backend.
-# ---------------------------------------------------------------------------
-
-
-class TestFieldOpsBatch:
-    @pytest.mark.parametrize("p", [P32, P127, P170])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pairwise_many_match_loops(self, backend, p):
-        field = PrimeField(p, check_prime=False, backend=backend)
-        rng = random.Random(41)
-        a = [field.enter(rng.randrange(p)) for _ in range(9)]
-        b = [field.enter(rng.randrange(p)) for _ in range(9)]
-        assert field.backend.add_many(a, b) == [field.add(x, y) for x, y in zip(a, b)]
-        assert field.backend.sub_many(a, b) == [field.sub(x, y) for x, y in zip(a, b)]
-        assert field.backend.mul_many(a, b) == [field.mul(x, y) for x, y in zip(a, b)]
-        assert field.backend.sqr_many(a) == [field.sqr(x) for x in a]
-
-    @pytest.mark.parametrize("p", [P32, P127, P170])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pow_many_matches_loop(self, backend, p):
-        field = PrimeField(p, check_prime=False, backend=backend)
-        rng = random.Random(42)
-        # Mixed widths on purpose: tiny, huge, and the 0/1 edge exponents.
-        exponents = [0, 1, 2, rng.randrange(p), rng.getrandbits(8), rng.getrandbits(200)]
-        bases = [field.enter(rng.randrange(1, p)) for _ in exponents]
-        assert field.pow_many(bases, exponents) == [
-            field.pow(base, e) for base, e in zip(bases, exponents)
-        ]
-
-    @pytest.mark.parametrize("p", [P32, P127, P170])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pow_many_shared_base_matches_loop(self, backend, p):
-        field = PrimeField(p, check_prime=False, backend=backend)
-        rng = random.Random(43)
-        base = field.enter(rng.randrange(2, p))
-        exponents = [0, 1, rng.getrandbits(30), rng.randrange(p), rng.getrandbits(190)]
-        assert field.pow_many_shared_base(base, exponents) == [
-            field.pow(base, e) for e in exponents
-        ]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_negative_exponents(self, backend):
-        field = PrimeField(P127, check_prime=False, backend=backend)
-        rng = random.Random(44)
-        bases = [field.enter(rng.randrange(1, P127)) for _ in range(4)]
-        exponents = [-1, -rng.getrandbits(60), 5, -3]
-        assert field.pow_many(bases, exponents) == [
-            field.pow(base, e) for base, e in zip(bases, exponents)
-        ]
-        assert field.pow_many_shared_base(bases[0], exponents) == [
-            field.pow(bases[0], e) for e in exponents
-        ]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_values_match_python_pow(self, backend):
-        # An oracle outside the field layer: whatever path each backend's
-        # batch methods take, the exited values are Python's pow.
-        field = PrimeField(P170, check_prime=False, backend=backend)
-        rng = random.Random(48)
-        base = rng.randrange(2, P170)
-        bases = [rng.randrange(1, P170) for _ in range(5)]
-        exponents = [rng.getrandbits(90) for _ in range(5)]
-        shared = field.pow_many_shared_base(field.enter(base), exponents)
-        many = field.pow_many([field.enter(b) for b in bases], exponents)
-        assert [field.exit(v) for v in shared] == [pow(base, e, P170) for e in exponents]
-        assert [field.exit(v) for v in many] == [
-            pow(b, e, P170) for b, e in zip(bases, exponents)
-        ]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_and_singleton(self, backend):
-        field = PrimeField(P32, check_prime=False, backend=backend)
-        assert field.pow_many([], []) == []
-        assert field.pow_many_shared_base(field.enter(7), []) == []
-        one = field.pow_many([field.enter(5)], [123])
-        assert one == [field.pow(field.enter(5), 123)]
-
-    def test_length_mismatch_raises(self):
-        field = PrimeField(P32, check_prime=False)
-        with pytest.raises(ParameterError):
-            field.pow_many([1, 2], [3])
-        with pytest.raises(ParameterError):
-            field.backend.mul_many([1], [2, 3])
-
-    def test_word_counting_pow_many_still_tallies(self):
-        from repro.field import WordCountingBackend
-
-        spec = WordCountingBackend()
-        field = PrimeField(P32, check_prime=False, backend=spec)
-        bases = [field.enter(123456), field.enter(654321)]
-        spec.stream.reset()
-        field.pow_many(bases, [1 << 20, (1 << 20) + 7])
-        assert spec.stream.word_mults > 0
-
-    def test_montgomery_cross_check_against_plain(self):
-        plain = PrimeField(P127, check_prime=False)
-        mont = PrimeField(P127, check_prime=False, backend="montgomery")
-        rng = random.Random(45)
-        base = rng.randrange(2, P127)
-        exponents = [rng.getrandbits(100) for _ in range(6)]
-        resident = mont.pow_many_shared_base(mont.enter(base), exponents)
-        assert [mont.exit(value) for value in resident] == plain.pow_many_shared_base(
-            base, exponents
-        )
-
-    def test_montgomery_shared_base_builds_one_table(self, monkeypatch):
-        from repro.exp import strategies
-
-        calls = {"tables": 0}
-        real = strategies.FixedBaseTable
-
-        class Counting(real):
-            def __init__(self, *args, **kwargs):
-                calls["tables"] += 1
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(strategies, "FixedBaseTable", Counting)
-        # The resident-Montgomery backend is the one whose shared-base path
-        # builds a fixed-base table: one for the whole batch.
-        field = PrimeField(P127, check_prime=False, backend="montgomery")
-        base = field.enter(3)
-        exponents = [random.Random(49).getrandbits(80) for _ in range(4)]
-        field.pow_many_shared_base(base, exponents)
-        assert calls["tables"] == 1
 
 
 # ---------------------------------------------------------------------------

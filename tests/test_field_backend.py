@@ -92,6 +92,15 @@ class TestBackendContract:
         base = mont.enter(987654321)
         assert mont.exit(mont.pow(base, 1000003)) == pow(987654321, 1000003, P32)
         assert mont.exit(mont.pow(base, -7)) == pow(987654321, -7, P32)
+        # Every backend's pow is Python's pow, on a multi-word modulus and
+        # for negative exponents too; word-counting runs its own chain.
+        p127 = (1 << 127) - 1
+        rng = random.Random(44)
+        for name in ("plain", "montgomery", "word-counting"):
+            field = PrimeField(p127, check_prime=False, backend=name)
+            for e in (0, 1, 5, rng.getrandbits(120), -1, -3, -rng.getrandbits(60)):
+                b = rng.randrange(1, p127)
+                assert field.exit(field.pow(field.enter(b), e)) == pow(b, e, p127)
 
     def test_sqrt_and_is_square_resident(self):
         mont = PrimeField(P32, check_prime=False, backend="montgomery")
@@ -212,6 +221,13 @@ class TestWordCounting:
         assert spec.stream.modular_adds == 1
         assert spec.stream.modular_subs == 1
         assert spec.stream.word_adds > 0
+        # A counting pow streams its chain's products the same way.
+        spec.stream.reset()
+        field.pow(a, (1 << 20) + 7)
+        assert spec.stream.modular_mults > 20
+        assert spec.stream.word_mults == (
+            spec.stream.modular_mults * fios_word_mult_count(words)
+        )
 
     def test_counting_toggle_preserves_values(self):
         spec = WordCountingBackend()
@@ -472,15 +488,6 @@ class TestRegistryBackends:
         with pytest.raises(NotImplementedError):
             run_batch(Legacy(), "key-agreement", 1, backend="plain")
 
-    def test_parallel_batch_carries_instance_backend(self):
-        from repro.pkc.bench import run_batch
-
-        scheme = get_scheme("ceilidh-toy32", backend="montgomery")
-        result = run_batch(
-            scheme, "key-agreement", 2, rng=random.Random(9), workers=2
-        )
-        assert result.sessions == 2
-        assert result.ops.total > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ParameterError, UnsupportedOperationError
 from repro.pkc import get_scheme
-from repro.pkc.bench import registry_batch_comparison, run_batch, run_batch_parallel
+from repro.pkc.bench import registry_batch_comparison, run_batch
 
 
 @pytest.fixture
@@ -82,48 +82,9 @@ class TestRegistryComparison:
         assert all(r.sessions == 2 for r in results)
 
 
-class TestFastPathAndParallel:
+class TestFastPath:
     def test_collect_ops_false_takes_the_null_trace_path(self, rng):
         scheme = get_scheme("ceilidh-toy32")
         result = run_batch(scheme, "key-agreement", 3, rng=rng, collect_ops=False)
         assert result.sessions == 3
         assert result.ops.total == 0  # nothing recorded on the fast path
-
-    def test_parallel_batch_merges_worker_results(self):
-        result = run_batch(
-            get_scheme("ceilidh-toy32"), "key-agreement", 5,
-            rng=random.Random(77), workers=2,
-        )
-        assert result.sessions == 5
-        assert result.ops.total > 0
-        assert result.wire_bytes > 0
-        assert result.wall_seconds > 0
-
-    def test_parallel_rejects_a_shared_server_key(self, rng):
-        scheme = get_scheme("ceilidh-toy32")
-        server = scheme.keygen(rng)
-        with pytest.raises(ParameterError):
-            run_batch(scheme, "key-agreement", 4, rng=rng, server=server, workers=2)
-
-    def test_parallel_caps_workers_at_sessions(self):
-        result = run_batch(
-            get_scheme("ceilidh-toy32"), "key-agreement", 1,
-            rng=random.Random(78), workers=8,
-        )
-        assert result.sessions == 1
-
-    def test_parallel_zero_sessions_returns_empty_result(self):
-        # Regression: workers = min(workers, 0) used to reach divmod(0, 0).
-        result = run_batch_parallel("ceilidh-toy32", "key-agreement", 0, 4)
-        assert result.sessions == 0
-        assert result.wall_seconds == 0.0
-        assert result.ops.total == 0
-        assert result.wire_bytes == 0
-        assert result.ms_per_session == 0.0
-        assert result.ops_per_session == 0.0
-        # Not inf: an empty batch must stay JSON-safe through the perf layer.
-        assert result.sessions_per_second == 0.0
-
-    def test_parallel_negative_sessions_rejected(self):
-        with pytest.raises(ParameterError):
-            run_batch_parallel("ceilidh-toy32", "key-agreement", -1, 4)

@@ -36,6 +36,7 @@ from repro.serve.channel import (
     seal_record,
 )
 from repro.serve.client import ServeClient
+from repro.serve.cluster import reuseport_available
 from repro.serve.protocol import (
     CHANNEL_ID_LEN,
     FrameDecoder,
@@ -523,6 +524,7 @@ class TestFrameDecoderChannelFuzz:
                 pass  # an explicit rejection is a correct outcome
 
 
+@pytest.mark.skipif(not reuseport_available(), reason="SO_REUSEPORT not available")
 class TestClusterChannelSurvival:
     def test_channels_survive_worker_crash_restart(self):
         """Acceptance: kill cluster workers mid-stream; every channel

@@ -1,10 +1,11 @@
 """Tests of the multi-process cluster serving layer.
 
-The pure pieces (consistent-hash ring, configuration validation) are
-tested exhaustively; the process-spawning pieces boot real worker clusters
-on loopback and drive them with the traffic engine's closed-loop one-shot
-mixes, keeping worker counts and session counts small — every spawn pays
-an interpreter start plus the package import.
+The pure pieces (configuration validation) run everywhere; the
+process-spawning pieces boot real worker clusters on loopback and drive
+them with the traffic engine's closed-loop one-shot mixes, keeping worker
+counts and session counts small — every spawn pays an interpreter start
+plus the package import.  They need ``SO_REUSEPORT``, the cluster's only
+way to share its port, and skip on a platform without it.
 
 The lifecycle tests are the acceptance story: a SIGKILLed worker comes
 back and the load sees zero client-visible errors; a SIGTERM drain loses
@@ -16,20 +17,32 @@ from __future__ import annotations
 
 import asyncio
 import os
+import pathlib
+import queue
 import random
+import re
 import signal
+import subprocess
+import sys
+import threading
+from typing import Optional
 
 import pytest
 
+import repro
 from repro.errors import ParameterError
 from repro.serve.client import ServeClient
 from repro.serve.cluster import ClusterSupervisor, reuseport_available
-from repro.serve.router import HashRing
 from repro.serve.scheduler import SchemeHost
 from repro.traffic import one_shot_mix, run_traffic
 
 #: The lifecycle tests' load: ceilidh-toy32 key agreements back to back.
 KA_MIX = one_shot_mix("ceilidh-toy32", "key-agreement")
+
+#: Every test that spawns workers needs the kernel's port sharing.
+needs_reuseport = pytest.mark.skipif(
+    not reuseport_available(), reason="SO_REUSEPORT not available"
+)
 
 
 def run(coroutine):
@@ -46,63 +59,19 @@ def _cluster(**overrides) -> ClusterSupervisor:
     return ClusterSupervisor(**options)
 
 
-class TestHashRing:
-    def test_lookup_is_deterministic_and_covers_all_slots(self):
-        ring = HashRing(range(4))
-        keys = [f"scheme-{i}" for i in range(64)]
-        first = [ring.lookup(key) for key in keys]
-        again = [ring.lookup(key) for key in keys]
-        assert first == again
-        # With 64 keys over 4 slots every slot should own something.
-        assert set(first) == {0, 1, 2, 3}
-
-    def test_preference_orders_every_slot_exactly_once(self):
-        ring = HashRing(range(5))
-        order = ring.preference("ceilidh-170")
-        assert sorted(order) == [0, 1, 2, 3, 4]
-
-    def test_lookup_respects_liveness(self):
-        ring = HashRing(range(3))
-        owner = ring.lookup("xtr-170")
-        fallback = ring.lookup("xtr-170", alive=set(range(3)) - {owner})
-        assert fallback != owner
-        assert ring.lookup("xtr-170", alive=()) is None
-
-    def test_removing_one_slot_only_remaps_its_keys(self):
-        """The consistent-hashing property: keys not owned by the dead slot
-        keep their placement when it drops out."""
-        ring = HashRing(range(4))
-        keys = [f"key-{i}" for i in range(128)]
-        before = {key: ring.lookup(key) for key in keys}
-        dead = 2
-        alive = set(range(4)) - {dead}
-        for key in keys:
-            after = ring.lookup(key, alive=alive)
-            if before[key] != dead:
-                assert after == before[key]
-            else:
-                assert after in alive
-
-    def test_restart_keeps_the_map(self):
-        """Two rings over the same slots agree — a respawned worker (same
-        index, new pid) reclaims exactly the schemes it owned."""
-        one, two = HashRing(range(3)), HashRing(range(3))
-        for i in range(32):
-            assert one.lookup(f"s{i}") == two.lookup(f"s{i}")
-
-    def test_rejects_empty_and_bad_vnodes(self):
-        with pytest.raises(ParameterError):
-            HashRing(())
-        with pytest.raises(ParameterError):
-            HashRing(range(2), vnodes=0)
-
-
 class TestClusterConfiguration:
-    def test_rejects_bad_worker_count_and_mode(self):
+    def test_rejects_bad_worker_count(self):
         with pytest.raises(ParameterError):
             ClusterSupervisor(workers=0)
-        with pytest.raises(ParameterError):
-            ClusterSupervisor(mode="sharded")
+
+    def test_refuses_a_platform_without_reuseport(self, monkeypatch):
+        """Without ``SO_REUSEPORT`` the workers cannot share the port, so
+        construction fails at once and names the missing option."""
+        from repro.serve import cluster as cluster_module
+
+        monkeypatch.setattr(cluster_module, "reuseport_available", lambda: False)
+        with pytest.raises(ParameterError, match="SO_REUSEPORT"):
+            ClusterSupervisor(workers=2)
 
     def test_cluster_counts_are_sorted_deduplicated_and_start_at_one(self):
         """``load --cluster`` efficiency is relative to one worker, so the
@@ -127,62 +96,43 @@ class TestClusterConfiguration:
         assert clone.server_key("ceilidh-toy32") is key
 
 
-@pytest.mark.skipif(not reuseport_available(), reason="SO_REUSEPORT not available")
+@needs_reuseport
 class TestReuseportCluster:
     def test_load_balances_with_zero_errors_and_one_identity(self):
+        """Two schemes through one port: every request is accounted for,
+        and each scheme advertises one server key on every worker."""
+        schemes = ("ceilidh-toy32", "xtr-toy32")
+
         async def scenario():
-            async with _cluster(mode="reuseport") as cluster:
-                host, port = cluster.address
-                report = await run_traffic(
-                    host, port, KA_MIX, clients=4, sessions_per_client=3
-                )
-                # However the kernel spread the connections, every WELCOME
-                # must advertise the same long-lived server key.
-                publics = set()
-                for _ in range(6):
-                    async with ServeClient(host, port) as client:
-                        publics.add(await client.negotiate("ceilidh-toy32"))
-                return report, publics, cluster.worker_pids()
-
-        report, publics, pids = run(scenario())
-        assert report.accounted
-        assert report.responses == 12
-        assert len(publics) == 1
-        assert len(pids) == 2 and all(pids)
-
-
-class TestRouterCluster:
-    def test_scheme_affinity_and_zero_errors(self):
-        async def scenario():
-            async with _cluster(
-                mode="router", schemes=("ceilidh-toy32", "xtr-toy32")
-            ) as cluster:
+            async with _cluster(schemes=schemes) as cluster:
                 host, port = cluster.address
                 reports = [
                     await run_traffic(
                         host, port, one_shot_mix(scheme, "key-agreement"),
                         clients=3, sessions_per_client=2,
                     )
-                    for scheme in ("ceilidh-toy32", "xtr-toy32")
+                    for scheme in schemes
                 ]
-                assert cluster.router is not None
-                ring = cluster.router.ring
-                expected = {
-                    ring.lookup(scheme)
-                    for scheme in ("ceilidh-toy32", "xtr-toy32")
-                }
-                return reports, dict(cluster.router.stats.routed), expected
+                # However the kernel spread the connections, every WELCOME
+                # must advertise the scheme's one long-lived server key.
+                publics = {scheme: set() for scheme in schemes}
+                for _ in range(6):
+                    for scheme in schemes:
+                        async with ServeClient(host, port) as client:
+                            publics[scheme].add(await client.negotiate(scheme))
+                return reports, publics, cluster.worker_pids()
 
-        reports, routed, expected = run(scenario())
+        reports, publics, pids = run(scenario())
         assert all(report.accounted for report in reports)
         # 2 mixes x 3 clients x 2 sessions
         assert sum(report.responses for report in reports) == 12
-        # Affinity: frames only ever reached the ring owners of the two
-        # schemes — nothing leaked onto other workers.
-        assert set(routed) == expected
-        assert sum(routed.values()) > 0
+        assert {scheme: len(keys) for scheme, keys in publics.items()} == {
+            scheme: 1 for scheme in schemes
+        }
+        assert len(pids) == 2 and all(pids)
 
 
+@needs_reuseport
 class TestWorkerLifecycle:
     def test_crash_restart_is_invisible_to_clients(self):
         """SIGKILL one of two workers mid-load: zero client-visible errors
@@ -263,6 +213,7 @@ class TestWorkerLifecycle:
 
 
 class TestClusterLoadCLI:
+    @needs_reuseport
     def test_cluster_sweep_emits_scaling_rows(self, tmp_path, monkeypatch, capsys):
         from repro.perf import load_bench
         from repro.serve.__main__ import main
@@ -288,7 +239,7 @@ class TestClusterLoadCLI:
         assert single.meta["scaling_efficiency"] is None
         assert doubled.meta["workers"] == 2
         assert doubled.meta["cpu_count"] == os.cpu_count()
-        assert doubled.meta["mode"] in ("reuseport", "router")
+        assert all("mode" not in entry.meta for entry in entries.values())
         assert doubled.meta["scaling_efficiency"] == pytest.approx(
             doubled.ops_per_second / (2 * single.ops_per_second)
         )
@@ -334,3 +285,60 @@ class TestClusterLoadCLI:
             "compare", str(current), str(baseline),
             "--skip-prefix", "serve:", "--skip-prefix", "serve-cluster:",
         ]) == 0
+
+
+@needs_reuseport
+class TestClusterCommand:
+    def test_cluster_serves_then_drains_on_sigterm(self):
+        """``python -m repro.serve cluster`` end to end: it prints the port
+        it bound, answers a key agreement, and exits 0 after a SIGTERM
+        drain."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "cluster", "--workers", "2",
+             "--port", "0", "--schemes", "ceilidh-toy32"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        # A reader thread, so a wedged child fails the test instead of
+        # blocking it on readline; None marks the end of the output.
+        lines: "queue.Queue[Optional[str]]" = queue.Queue()
+
+        def pump() -> None:
+            assert process.stdout is not None
+            for line in process.stdout:
+                lines.put(line)
+            lines.put(None)
+
+        reader = threading.Thread(target=pump, daemon=True)
+        reader.start()
+        output = []
+        try:
+            address = None
+            while address is None:
+                line = lines.get(timeout=60)
+                assert line is not None, "exited early:\n" + "".join(output)
+                output.append(line)
+                address = re.search(r"listening on ([\d.]+):(\d+)", line)
+            host, port = address.group(1), int(address.group(2))
+
+            async def key_agreement():
+                async with ServeClient(host, port) as client:
+                    await client.negotiate("ceilidh-toy32")
+                    return await client.key_agreement_session(random.Random(3))
+
+            assert run(key_agreement()) > 0
+            process.send_signal(signal.SIGTERM)
+            status = process.wait(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        output.extend(iter(lines.get_nowait, None))
+        assert status == 0, "".join(output)
+        assert "cluster drained and stopped" in "".join(output)
