@@ -1,7 +1,10 @@
 """Tests for the batch entry points above the field layer.
 
-Covers the ``exponentiate_many`` seam, scheme-level batch-vs-loop byte
-identity for every registry scheme on every backend, and the serve
+Covers the ``exponentiate_many`` seam, its shared-base path on every
+backend at one-, eight- and eleven-word moduli (batch == loop, exponents
+0/1 and negatives, empty and singleton batches, when the one fixed-base
+table is built) and through the torus group, scheme-level batch-vs-loop
+byte identity for every registry scheme on every backend, and the serve
 scheduler's batch routing: which kinds coalesce, and the per-item loop
 that answers every request of a mixed good/bad batch once.
 """
@@ -13,13 +16,20 @@ import random
 import pytest
 
 from repro.errors import ParameterError
-from repro.field import PrimeField
+from repro.exp.group import FieldExpGroup
+from repro.exp.strategies import exponentiate_many, exponentiate_shared_base
+from repro.exp.trace import OpTrace
+from repro.field import PrimeField, WordCountingBackend
+from repro.montgomery.domain import MontgomeryDomain
+from repro.montgomery.fios import fios_word_mult_count
 from repro.pkc import get_scheme
 from repro.pkc.base import KEY_AGREEMENT, SIGNATURE
 from repro.pkc.registry import available_schemes
+from repro.torus.t6 import T6Group
 
 P32 = 2494740737  # toy-32 CEILIDH prime (p = 2 mod 9)
 P127 = (1 << 127) - 1  # multi-word: exercises the Montgomery word paths
+P170 = 1109485483118704838530651968604888341434144398802927  # ceilidh-170 p
 
 BACKENDS = ("plain", "montgomery", "word-counting")
 
@@ -99,6 +109,139 @@ class TestExponentiateMany:
         ]
         with pytest.raises(ParameterError):
             montgomery_power_many(domain, [2], [-1])
+
+
+# ---------------------------------------------------------------------------
+# The shared-base path: batch == loop on every backend and width.
+# ---------------------------------------------------------------------------
+
+
+def _fp_group(p, backend):
+    field = PrimeField(p, check_prime=False, backend=backend)
+    return field, FieldExpGroup(field)
+
+
+class TestSharedBaseBatch:
+    @pytest.mark.parametrize("p", [P32, P127, P170])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exponentiate_many_matches_loop(self, backend, p):
+        field, group = _fp_group(p, backend)
+        rng = random.Random(42)
+        shared = field.enter(rng.randrange(2, p))
+        # Mixed widths on purpose: the shared base takes the table path with
+        # 0 among its wide exponents; three distinct bases take the per-item
+        # path with 1, 2 and an 8-bit exponent.
+        bases = [shared] + [field.enter(rng.randrange(1, p)) for _ in range(3)]
+        bases += [shared, shared]
+        exponents = [0, 1, 2, rng.getrandbits(8), rng.randrange(p), rng.getrandbits(200)]
+        results = exponentiate_many(group, bases, exponents)
+        assert results == [field.pow(base, e) for base, e in zip(bases, exponents)]
+        assert [field.exit(v) for v in results] == [
+            pow(field.exit(base), e, p) for base, e in zip(bases, exponents)
+        ]
+
+    @pytest.mark.parametrize("p", [P32, P127, P170])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exponentiate_shared_base_matches_loop(self, backend, p):
+        field, group = _fp_group(p, backend)
+        rng = random.Random(43)
+        base = field.enter(rng.randrange(2, p))
+        exponents = [0, 1, rng.getrandbits(30), rng.randrange(p), rng.getrandbits(190)]
+        results = exponentiate_shared_base(group, base, exponents)
+        assert results == [field.pow(base, e) for e in exponents]
+        assert [field.exit(v) for v in results] == [
+            pow(field.exit(base), e, p) for e in exponents
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_negative_exponents(self, backend):
+        field, group = _fp_group(P127, backend)
+        rng = random.Random(44)
+        bases = [field.enter(rng.randrange(1, P127)) for _ in range(4)]
+        exponents = [-1, -rng.getrandbits(60), 5, -3]
+        assert exponentiate_many(group, bases, exponents) == [
+            field.pow(base, e) for base, e in zip(bases, exponents)
+        ]
+        assert exponentiate_shared_base(group, bases[0], exponents) == [
+            field.pow(bases[0], e) for e in exponents
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_and_singleton(self, backend):
+        field, group = _fp_group(P32, backend)
+        base = field.enter(5)
+        assert exponentiate_shared_base(group, base, []) == []
+        assert exponentiate_shared_base(group, base, [123]) == [field.pow(base, 123)]
+        assert exponentiate_many(group, [base], [1 << 40]) == [field.pow(base, 1 << 40)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_table_only_for_wide_batches(self, backend, monkeypatch):
+        from repro.exp import strategies
+
+        tables = []
+        real = strategies.FixedBaseTable
+
+        class Counting(real):
+            def __init__(self, *args, **kwargs):
+                tables.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(strategies, "FixedBaseTable", Counting)
+        field, group = _fp_group(P127, backend)
+        base = field.enter(3)
+        wide = [random.Random(49).getrandbits(80) for _ in range(4)]
+        # Two or more exponents of 17+ bits share one table...
+        assert exponentiate_shared_base(group, base, wide) == [
+            field.pow(base, e) for e in wide
+        ]
+        assert len(tables) == 1
+        # ...while a lone wide exponent or a batch of narrow ones builds none.
+        exponentiate_shared_base(group, base, wide[:1])
+        exponentiate_shared_base(group, base, [0, 5, (1 << 16) - 1])
+        assert len(tables) == 1
+
+    def test_word_counting_batch_still_tallies(self):
+        spec = WordCountingBackend()
+        field = PrimeField(P32, check_prime=False, backend=spec)
+        group = FieldExpGroup(field)
+        a, b = field.enter(123456), field.enter(654321)
+        spec.stream.reset()
+        exponentiate_many(group, [a, b, a], [1 << 20, (1 << 20) + 7, 1 << 19])
+        assert spec.stream.modular_mults > 20
+        assert spec.stream.word_mults == spec.stream.modular_mults * fios_word_mult_count(
+            MontgomeryDomain(P32).num_words
+        )
+
+
+class TestTorusBatch:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exponentiate_many_matches_loop(self, backend, toy32_params):
+        group = T6Group(toy32_params, backend=backend)
+        rng = random.Random(57)
+        shared, other = group.random_element(rng), group.random_element(rng)
+        q = group.subgroup_order
+        # The shared base gets a subgroup-wide, a negative and a wider-than-p
+        # exponent (one table); the other base rides the per-item path.
+        bases = [shared, other, shared, shared, other]
+        exponents = [rng.randrange(q), 7, -rng.randrange(q), rng.getrandbits(80), 0]
+        assert group.exponentiate_many(bases, exponents) == [
+            group.exponentiate(base, e) for base, e in zip(bases, exponents)
+        ]
+        batched, looped = OpTrace(), OpTrace()
+        group.exponentiate_many(bases, exponents, count=batched)
+        for base, e in zip(bases, exponents):
+            group.exponentiate(base, e, count=looped)
+        assert batched.squarings < looped.squarings
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exponentiate_shared_base_matches_loop(self, backend, toy32_params):
+        group = T6Group(toy32_params, backend=backend)
+        rng = random.Random(58)
+        base = group.random_element(rng)
+        exponents = [0, 1, -5, rng.randrange(group.subgroup_order), rng.getrandbits(70)]
+        assert group.exponentiate_shared_base(base, exponents) == [
+            group.exponentiate(base, e) for e in exponents
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Tests for the unified exponentiation engine (repro.exp).
 
 Covers the strategy registry, cross-strategy/cross-group agreement against a
-naive square-and-multiply reference, the unified OpTrace (and its
+naive square-and-multiply reference, the batch entry points on every group
+kind, the unified OpTrace (and its
 backwards-compatible per-layer subclasses), fixed-base tables, Shamir double
 exponentiation, the torus's Frobenius split, and the headline cost claims:
 wNAF uses >= 20% fewer general multiplications than binary at 160-bit
@@ -26,6 +27,8 @@ from repro.exp import (
     double_exponentiate,
     expected_counts,
     exponentiate,
+    exponentiate_many,
+    exponentiate_shared_base,
     get_strategy,
     select_strategy,
 )
@@ -108,6 +111,10 @@ def make_groups(toy32_group, toy_curve, rng):
     ]
 
 
+#: ``make_groups`` order, for parametrizing over one group kind per test.
+GROUP_KINDS = ("fp", "fp6", "tower", "poly", "torus", "montgomery", "jacobian")
+
+
 def ExtensionGroupForTest(fp6):
     from repro.exp.group import ExtensionExpGroup
 
@@ -186,6 +193,39 @@ class TestCrossStrategyAgreement:
         assert select_strategy(torus_group, (1 << p_bits) - 1) == "wnaf"
         assert select_strategy(torus_group, 1 << p_bits) == "split"
         assert select_strategy(torus_group, 1 << 100) == "split"
+
+
+# ---------------------------------------------------------------------------
+# Batch entry points == a loop of single exponentiations, on every group.
+# ---------------------------------------------------------------------------
+
+
+class TestBatchEntryPoints:
+    @pytest.mark.parametrize("kind", range(len(GROUP_KINDS)), ids=GROUP_KINDS)
+    def test_exponentiate_many_matches_loop(self, kind, toy32_group, toy_curve, rng):
+        group, sample, equal = make_groups(toy32_group, toy_curve, rng)[kind]
+        shared, other = sample(), sample()
+        # Runs of the shared base are found by element equality and take
+        # the one-table path (two wide exponents, one of them negative);
+        # the other base takes the per-item path.
+        bases = [shared, other, shared, shared]
+        exponents = [rng.getrandbits(40), rng.getrandbits(12), -rng.getrandbits(30), 1]
+        batch = exponentiate_many(group, bases, exponents)
+        assert len(batch) == len(bases)
+        for value, base, e in zip(batch, bases, exponents):
+            assert equal(value, naive_power(group, base, e)), (group.name, e)
+
+    @pytest.mark.parametrize("kind", range(len(GROUP_KINDS)), ids=GROUP_KINDS)
+    def test_exponentiate_shared_base_matches_loop(
+        self, kind, toy32_group, toy_curve, rng
+    ):
+        group, sample, equal = make_groups(toy32_group, toy_curve, rng)[kind]
+        base = sample()
+        exponents = [0, 1, rng.getrandbits(48), -rng.getrandbits(24), rng.getrandbits(20)]
+        batch = exponentiate_shared_base(group, base, exponents)
+        assert len(batch) == len(exponents)
+        for value, e in zip(batch, exponents):
+            assert equal(value, naive_power(group, base, e)), (group.name, e)
 
 
 # ---------------------------------------------------------------------------

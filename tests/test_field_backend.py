@@ -32,6 +32,8 @@ from repro.pkc.base import ENCRYPTION, KEY_AGREEMENT, SIGNATURE
 from repro.pkc.registry import available_schemes
 
 P32 = 2494740737  # toy-32 CEILIDH prime (p = 2 mod 9)
+P127 = (1 << 127) - 1
+P170 = 1109485483118704838530651968604888341434144398802927  # ceilidh-170 p
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +88,27 @@ class TestBackendContract:
             assert mont.exit(mont.sqr(ra)) == plain.sqr(a)
             assert mont.exit(mont.inv(rb)) == plain.inv(b)
             assert mont.exit(mont.half(ra)) == plain.half(a)
+
+    @pytest.mark.parametrize("p", [P32, P127, P170])
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
+    def test_resident_ops_match_integer_arithmetic(self, backend, p):
+        # Two, eight and eleven 16-bit Montgomery words: every resident op,
+        # inv_many included, exits to Python's integer arithmetic mod p.
+        field = PrimeField(p, check_prime=False, backend=backend)
+        rng = random.Random(41)
+        for _ in range(9):
+            a, b = rng.randrange(p), rng.randrange(1, p)
+            ra, rb = field.enter(a), field.enter(b)
+            assert field.exit(field.add(ra, rb)) == (a + b) % p
+            assert field.exit(field.sub(ra, rb)) == (a - b) % p
+            assert field.exit(field.neg(ra)) == -a % p
+            assert field.exit(field.mul(ra, rb)) == a * b % p
+            assert field.exit(field.sqr(ra)) == a * a % p
+            assert field.exit(field.inv(rb)) == pow(b, -1, p)
+            assert 2 * field.exit(field.half(ra)) % p == a
+        plain = [rng.randrange(1, p) for _ in range(5)]
+        out = field.inv_many([field.enter(v) for v in plain])
+        assert [field.exit(v) for v in out] == [pow(v, -1, p) for v in plain]
 
     def test_resident_pow(self):
         mont = PrimeField(P32, check_prime=False, backend="montgomery")

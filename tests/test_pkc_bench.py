@@ -66,6 +66,19 @@ class TestRunBatch:
         with pytest.raises(ParameterError):
             run_batch(scheme, "key-agreement", 0, rng=rng)
 
+    def test_negative_sessions_rejected(self, rng):
+        with pytest.raises(ParameterError):
+            run_batch(get_scheme("ceilidh-toy32"), "key-agreement", -1, rng=rng)
+        with pytest.raises(ParameterError):
+            registry_batch_comparison(("ceilidh-toy32",), "key-agreement", -1, rng=rng)
+
+    def test_single_session_takes_the_loop_path(self, rng):
+        # Coalescing needs two sessions: one runs the per-session loop.
+        result = run_batch(get_scheme("ceilidh-toy32"), "key-agreement", 1, rng=rng)
+        assert result.sessions == 1
+        assert not result.coalesced and result.batch_size is None
+        assert result.wire_bytes > 0 and result.ops.total > 0
+
 
 class TestRegistryComparison:
     def test_skips_schemes_without_the_capability(self, rng):
