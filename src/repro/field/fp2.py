@@ -14,9 +14,16 @@ three-product Karatsuba form the platform microcodes
 — 3 multiplications plus 2 additions and 4 subtractions, executed in exactly
 the order of the level-2 sequence so that measured word-operation streams
 match the analytic composition operation for operation.
+
+:meth:`Fp2Field.mul_pair` is that product on bare ``(a0, a1)`` coefficient
+pairs.  The XTR ladder (:mod:`repro.xtr.trace`) calls it over resident and
+counting base fields, so its word-operation stream is the sequence's; over
+a plain base field the ladder runs the same steps on raw integers instead.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 from repro.errors import ParameterError
 from repro.field.extension import ExtElement, ExtensionField
@@ -34,9 +41,13 @@ class Fp2Field(ExtensionField):
         super().__init__(base, [1, 1, 1], name="Fp2", var="x", check_irreducible=False)
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
+        return ExtElement._raw(self, self.mul_pair(a.coeffs, b.coeffs))
+
+    def mul_pair(self, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+        """The Karatsuba product of two resident coefficient pairs."""
         f = self.base
-        a0, a1 = a.coeffs
-        b0, b1 = b.coeffs
+        a0, a1 = a
+        b0, b1 = b
         sa = f.add(a0, a1)
         sb = f.add(b0, b1)
         t0 = f.mul(a0, b0)
@@ -46,7 +57,7 @@ class Fp2Field(ExtensionField):
         # cross term a0*b1 + a1*b0 = t2 - t0 - t1; x^2 = -1 - x folds t1 in
         # once more for the x coefficient.
         c1 = f.sub(f.sub(f.sub(t2, t0), t1), t1)
-        return ExtElement(self, (c0, c1))
+        return c0, c1
 
     def sqr(self, a: ExtElement) -> ExtElement:
         return self.mul(a, a)
@@ -56,7 +67,7 @@ class Fp2Field(ExtensionField):
         return super().mul(a, b)
 
 
-def make_fp2(base: PrimeField) -> ExtensionField:
+def make_fp2(base: PrimeField) -> Fp2Field:
     """Construct Fp2 = Fp[x]/(x^2 + x + 1).
 
     Raises :class:`ParameterError` when p = 1 (mod 3), in which case the

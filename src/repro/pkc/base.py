@@ -43,6 +43,7 @@ __all__ = [
     "Signature",
     "PkcScheme",
     "kdf",
+    "xor_bytes",
     "seal_body",
     "open_body",
     "encode_scalar_pair",
@@ -63,13 +64,28 @@ def kdf(secret: bytes, info: bytes, length: int) -> bytes:
 
     The same construction CEILIDH has always used; hoisted here so the
     ECIES and RSA-KEM hybrid paths derive their keystreams identically.
+    Block ``i`` is ``SHA-256(i:4 || secret || info)``; the blocks are
+    joined once and cut to ``length`` bytes.
     """
-    output = b""
-    counter = 0
-    while len(output) < length:
-        output += hashlib.sha256(counter.to_bytes(4, "big") + secret + info).digest()
-        counter += 1
-    return output[:length]
+    blocks = (length + 31) // 32
+    return b"".join(
+        [
+            hashlib.sha256(counter.to_bytes(4, "big") + secret + info).digest()
+            for counter in range(blocks)
+        ]
+    )[:length]
+
+
+def xor_bytes(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR an equally long ``keystream``, through one big integer.
+
+    Two ``int.from_bytes`` conversions, one integer XOR and one
+    ``to_bytes`` replace a Python-level loop over the bytes; the output is
+    byte-for-byte the same.
+    """
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
+    ).to_bytes(len(data), "big")
 
 
 def seal_body(secret: bytes, label: bytes, plaintext: bytes) -> Tuple[bytes, bytes]:
@@ -81,7 +97,7 @@ def seal_body(secret: bytes, label: bytes, plaintext: bytes) -> Tuple[bytes, byt
     """
     keystream = kdf(secret, label + b"-stream", len(plaintext))
     tag_key = kdf(secret, label + b"-tag", 32)
-    body = bytes(p ^ k for p, k in zip(plaintext, keystream))
+    body = xor_bytes(plaintext, keystream)
     tag = hmac.new(tag_key, body, hashlib.sha256).digest()[:TAG_BYTES]
     return body, tag
 
@@ -93,7 +109,7 @@ def open_body(secret: bytes, label: bytes, body: bytes, tag: bytes) -> bytes:
     expected = hmac.new(tag_key, body, hashlib.sha256).digest()[:TAG_BYTES]
     if not hmac.compare_digest(expected, tag):
         raise DecryptionError("integrity tag mismatch")
-    return bytes(c ^ k for c, k in zip(body, keystream))
+    return xor_bytes(body, keystream)
 
 
 def encode_scalar_pair(first: int, second: int, width: int) -> bytes:

@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 
 from repro.errors import DecryptionError, ParameterError
 from repro.exp.trace import OpTrace
+from repro.field.fp import PrimeField
 from repro.montgomery.domain import MontgomeryDomain
 from repro.nt.sampling import resolve_rng
 from repro.montgomery.exponent import montgomery_power
@@ -69,10 +70,10 @@ class RsaScheme(PkcScheme):
     ):
         from repro.field.backend import get_backend
 
-        # RSA's arithmetic *is* the Montgomery domain already (the paper's
-        # point); the plain and montgomery backends therefore share one code
-        # path and produce identical wire bytes, while the word-counting
-        # backend swaps in domains whose products stream FIOS word tallies.
+        # The backend picks the CRT halves' arithmetic (_crt_domains):
+        # ordinary products on plain, Python REDC on montgomery, and
+        # FIOS-streaming domains on word-counting.  Every backend runs the
+        # same engine strategy, so wire bytes and tallies are identical.
         self.field_backend = get_backend(backend)
         self.modulus_bits = modulus_bits
         self.bit_length = modulus_bits
@@ -87,8 +88,8 @@ class RsaScheme(PkcScheme):
     def _domain_for(self, modulus: int):
         """A cached per-modulus domain when the backend is word-counting.
 
-        Returns ``None`` for the plain/montgomery backends so the legacy
-        entry points keep constructing their own plain domains.
+        Returns ``None`` for the plain/montgomery backends so the public-key
+        entry points keep constructing their own Montgomery domains.
         """
         if self.field_backend.name != "word-counting":
             return None
@@ -97,10 +98,26 @@ class RsaScheme(PkcScheme):
         return self._domains[modulus]
 
     def _crt_domains(self, key: RsaKeyPair):
-        """Counting domains for the CRT prime halves (None on other backends)."""
-        if self.field_backend.name != "word-counting":
-            return None
-        return (self._domain_for(key.p), self._domain_for(key.q))
+        """The CRT prime halves' arithmetic, built once per key and cached.
+
+        plain: a :class:`~repro.field.fp.PrimeField` per prime, so the
+        engine runs over ordinary ``a * b % p`` products; montgomery: a
+        :class:`~repro.montgomery.domain.MontgomeryDomain` per prime (the
+        resident model); word-counting: counting domains.
+        """
+        return self._prime_arithmetic(key.p), self._prime_arithmetic(key.q)
+
+    def _prime_arithmetic(self, prime: int):
+        if self.field_backend.name == "word-counting":
+            return self._domain_for(prime)
+        arithmetic = self._domains.get(prime)
+        if arithmetic is None:
+            if self.field_backend.name == "plain":
+                arithmetic = PrimeField(prime, check_prime=False)
+            else:
+                arithmetic = MontgomeryDomain(prime, word_bits=16)
+            self._domains[prime] = arithmetic
+        return arithmetic
 
     # -- keys -------------------------------------------------------------------
 

@@ -4,7 +4,11 @@ The integer-level primitives (``rsa_encrypt_int`` and friends) are exactly
 what the platform executes — a modular exponentiation over Montgomery
 multiplications, routed through the unified engine (sliding-window recoding
 by default: ~30% fewer Montgomery products than square-and-multiply at
-RSA exponent sizes, with the same operation unit the paper counts).  The byte-level helpers add a minimal
+RSA exponent sizes, with the same operation unit the paper counts).  The
+CRT helpers also accept a plain :class:`~repro.field.fp.PrimeField` per
+prime, whose exp group runs the same engine strategy over ordinary
+``a * b % p`` products: the same results and the same operation tallies
+without a Python REDC per product.  The byte-level helpers add a minimal
 deterministic padding scheme so the examples can round-trip real messages;
 they are not a substitute for OAEP/PSS and say so.
 """
@@ -15,7 +19,9 @@ import hashlib
 from typing import Optional, Union
 
 from repro.errors import DecryptionError, ParameterError
+from repro.exp import strategies
 from repro.exp.trace import OpTrace
+from repro.field.fp import PrimeField
 from repro.montgomery.domain import MontgomeryDomain
 from repro.montgomery.exponent import montgomery_power, montgomery_power_many
 from repro.rsa.keygen import RsaKeyPair, RsaPublicKey
@@ -67,6 +73,46 @@ def rsa_decrypt_int(
     return montgomery_power(domain, ciphertext, key.d, trace=trace)
 
 
+def _crt_arithmetic(key: RsaKeyPair, domains: Optional[tuple], word_bits: int) -> tuple:
+    """The two CRT primes' arithmetic: injected, or fresh Montgomery domains."""
+    if domains is None:
+        return (
+            MontgomeryDomain(key.p, word_bits=word_bits),
+            MontgomeryDomain(key.q, word_bits=word_bits),
+        )
+    arithmetic_p, arithmetic_q = domains
+    if _modulus(arithmetic_p) != key.p or _modulus(arithmetic_q) != key.q:  # audit: allow[CT103] config validation; injected domain and key prime share one trust domain
+        raise ParameterError("injected CRT domains do not match the key's primes")
+    return arithmetic_p, arithmetic_q
+
+
+def _modulus(arithmetic) -> int:
+    return arithmetic.p if isinstance(arithmetic, PrimeField) else arithmetic.modulus
+
+
+def _crt_power(arithmetic, base: int, exponent: int, trace: Optional[OpTrace]) -> int:
+    """``base^exponent`` modulo one CRT prime with the engine's default strategy.
+
+    A :class:`PrimeField` runs it over ordinary products; anything else is a
+    (possibly word-counting) Montgomery domain.  ``strategies.exponentiate``
+    is looked up at call time, like every engine entry point the perfbench
+    tracer wraps, so the products are attributed to the engine either way.
+    """
+    if isinstance(arithmetic, PrimeField):
+        return strategies.exponentiate(arithmetic.exp_group(), base, exponent, trace=trace)
+    return montgomery_power(arithmetic, base, exponent, trace=trace)
+
+
+def _crt_power_many(arithmetic, bases, exponent: int, trace: Optional[OpTrace]) -> "list[int]":
+    """:func:`_crt_power` for many bases under one exponent, as one engine batch."""
+    exponents = [exponent] * len(bases)
+    if isinstance(arithmetic, PrimeField):
+        return strategies.exponentiate_many(
+            arithmetic.exp_group(), bases, exponents, trace=trace
+        )
+    return montgomery_power_many(arithmetic, bases, exponents, trace=trace)
+
+
 def rsa_decrypt_int_crt(
     key: RsaKeyPair,
     ciphertext: int,
@@ -76,20 +122,16 @@ def rsa_decrypt_int_crt(
 ) -> int:
     """CRT decryption: two half-size exponentiations plus recombination.
 
-    ``domains`` optionally supplies prebuilt ``(domain_p, domain_q)`` —
-    possibly word-counting — Montgomery domains for the two prime halves.
+    ``domains`` optionally supplies prebuilt ``(p, q)`` arithmetic for the
+    two prime halves: Montgomery domains (possibly word-counting) or plain
+    :class:`PrimeField` objects.  Without it, fresh Montgomery domains of
+    ``word_bits``-bit words are built for this call.
     """
     if not 0 <= ciphertext < key.n:
         raise ParameterError("ciphertext representative out of range")
-    if domains is None:
-        domain_p = MontgomeryDomain(key.p, word_bits=word_bits)
-        domain_q = MontgomeryDomain(key.q, word_bits=word_bits)
-    else:
-        domain_p, domain_q = domains
-        if domain_p.modulus != key.p or domain_q.modulus != key.q:  # audit: allow[CT103] config validation; injected domain and key prime share one trust domain
-            raise ParameterError("injected CRT domains do not match the key's primes")
-    m_p = montgomery_power(domain_p, ciphertext % key.p, key.d_p, trace=trace)
-    m_q = montgomery_power(domain_q, ciphertext % key.q, key.d_q, trace=trace)
+    arithmetic_p, arithmetic_q = _crt_arithmetic(key, domains, word_bits)
+    m_p = _crt_power(arithmetic_p, ciphertext % key.p, key.d_p, trace)
+    m_q = _crt_power(arithmetic_q, ciphertext % key.q, key.d_q, trace)
     h = key.q_inv * (m_p - m_q) % key.p
     return m_q + h * key.q
 
@@ -179,27 +221,17 @@ def rsa_sign_many(
 
     The padding is deterministic and no RNG is involved, so the two
     half-size exponentiation streams (mod p with ``d_p``, mod q with
-    ``d_q``) can run as two :func:`montgomery_power_many` batches — one
-    Montgomery domain pair, one engine batch per prime — and the signatures
-    stay byte-identical to N :func:`rsa_sign` calls.
+    ``d_q``) can run as two engine batches — one per prime, over the same
+    arithmetic :func:`rsa_decrypt_int_crt` takes — and the signatures stay
+    byte-identical to N :func:`rsa_sign` calls.
     """
     messages = list(messages)
     padded = [
         _pad(hashlib.sha256(message).digest(), key.n) for message in messages
     ]
-    if domains is None:
-        domain_p = MontgomeryDomain(key.p, word_bits=word_bits)
-        domain_q = MontgomeryDomain(key.q, word_bits=word_bits)
-    else:
-        domain_p, domain_q = domains
-        if domain_p.modulus != key.p or domain_q.modulus != key.q:  # audit: allow[CT103] config validation; injected domain and key prime share one trust domain
-            raise ParameterError("injected CRT domains do not match the key's primes")
-    m_ps = montgomery_power_many(
-        domain_p, [c % key.p for c in padded], [key.d_p] * len(padded), trace=trace
-    )
-    m_qs = montgomery_power_many(
-        domain_q, [c % key.q for c in padded], [key.d_q] * len(padded), trace=trace
-    )
+    arithmetic_p, arithmetic_q = _crt_arithmetic(key, domains, word_bits)
+    m_ps = _crt_power_many(arithmetic_p, [c % key.p for c in padded], key.d_p, trace)
+    m_qs = _crt_power_many(arithmetic_q, [c % key.q for c in padded], key.d_q, trace)
     width = _modulus_bytes(key.n)
     signatures = []
     for m_p, m_q in zip(m_ps, m_qs):

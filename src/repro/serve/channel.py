@@ -65,7 +65,9 @@ from repro.errors import (
     TamperedRecordError,
     UnknownChannelError,
 )
-from repro.pkc.base import kdf
+# ``kdf`` stays a module-level lookup here: perfbench's tracer wraps it in
+# this namespace as well as in repro.pkc.base.
+from repro.pkc.base import kdf, xor_bytes
 from repro.serve.protocol import CHANNEL_ID_LEN
 
 __all__ = [
@@ -137,7 +139,7 @@ def seal_record(
 ) -> bytes:
     """Seal one record: ``seq:8 | XOR-encrypted body | tag:16``."""
     keystream = kdf(keys.stream_key, b"rec" + struct.pack(">Q", seq), len(plaintext))
-    body = bytes(p ^ k for p, k in zip(plaintext, keystream))
+    body = xor_bytes(plaintext, keystream)
     return struct.pack(">Q", seq) + body + _record_tag(
         keys, channel_id, epoch, seq, body
     )
@@ -176,7 +178,7 @@ def open_record(
             f"expected (replay or reordering)"
         )
     keystream = kdf(keys.stream_key, b"rec" + struct.pack(">Q", seq), len(body))
-    return bytes(c ^ k for c, k in zip(body, keystream))
+    return xor_bytes(body, keystream)
 
 
 class ChannelCrypto:

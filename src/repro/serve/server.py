@@ -418,14 +418,9 @@ class ServeServer:
                 writer, OP_ERROR, pack_error(protocol.ERR_BAD_REQUEST, str(exc))
             )
             return True
-        handler = {
-            OP_CHAN_OPEN: self._handle_channel_open,
-            OP_CHAN_MSG: self._handle_channel_msg,
-            OP_CHAN_REKEY: self._handle_channel_rekey,
-            OP_CHAN_CLOSE: self._handle_channel_close,
-        }[frame.opcode]
+        handler = self._CHANNEL_HANDLERS[frame.opcode]
         try:
-            return await handler(session, writer, channel_id, blob)
+            return await handler(self, session, writer, channel_id, blob)
         except QuotaError as exc:
             session.errors += 1
             await write_frame(
@@ -596,6 +591,14 @@ class ServeServer:
         session.responses += 1
         await write_frame(writer, OP_CHAN_CLOSED, pack_channel(channel_id))
         return True
+
+    #: Channel opcode -> handler, built once with the class.
+    _CHANNEL_HANDLERS = {
+        OP_CHAN_OPEN: _handle_channel_open,
+        OP_CHAN_MSG: _handle_channel_msg,
+        OP_CHAN_REKEY: _handle_channel_rekey,
+        OP_CHAN_CLOSE: _handle_channel_close,
+    }
 
     async def _best_effort_error(
         self, writer: "asyncio.StreamWriter", code: int, detail: str

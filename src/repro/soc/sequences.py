@@ -311,8 +311,9 @@ def xtr_double_step_program() -> Level2Program:
     subtraction for the constant coefficient (the negation of the x
     coefficient is free, as in the reference arithmetic), and the doubling
     of the conjugate is two modular additions — exactly the operation
-    stream :meth:`repro.xtr.trace.XtrContext._double_trace` executes, so
-    measured word-operation streams reproduce this sequence one for one.
+    stream the XTR ladder's double step executes over a resident or counting
+    base field (:mod:`repro.xtr.trace`), so measured word-operation streams
+    reproduce this sequence one for one.
     """
     program = Level2Program(
         name="xtr-double-step",

@@ -19,6 +19,14 @@ Exponentiation walks the exponent bits with the triple
 costs a handful of Fp2 multiplications, which is what makes XTR competitive
 with CEILIDH (the comparison the paper cites).  Every identity used here is
 cross-checked in the tests against direct Fp6 computation of the traces.
+
+The ladder works on bare ``(a0, a1)`` coefficient pairs.  Over a plain base
+field each step is raw integer arithmetic reduced once per output
+coordinate (the gate :class:`~repro.field.fp6.Fp6Field` uses for its fast
+product).  Over resident and counting base fields each step calls the base
+field's operations in the order of the platform's level-2 step sequences,
+with :meth:`~repro.field.fp2.Fp2Field.mul_pair` as the product, so the
+measured word-operation stream is unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Optional, Tuple
 
 from repro.errors import ParameterError
 from repro.exp.trace import OpTrace
-from repro.field.extension import ExtElement, ExtensionField
+from repro.field.extension import ExtElement
 from repro.field.fp import PrimeField
 from repro.field.fp2 import make_fp2
 from repro.field.fp6 import Fp6Field, make_fp6
@@ -61,28 +69,15 @@ class XtrContext:
         self.params = params
         self._backend = backend
         self.fp = PrimeField(params.p, check_prime=False, backend=backend)
-        self.fp2: ExtensionField = make_fp2(self.fp)
+        self.fp2 = make_fp2(self.fp)
+        if type(self.fp) is PrimeField and self.fp.backend.plain:
+            self._steps = _plain_steps(params.p)
+        else:
+            self._steps = _field_steps(self.fp2)
         self._fp6: Optional[Fp6Field] = None
         self._tower: Optional[TowerFp6] = None
         self._map: Optional[F1ToF2Map] = None
         self._generator_trace: Optional[XtrTrace] = None
-
-    # -- Fp2 helpers --------------------------------------------------------------
-
-    def _conjugate(self, a: ExtElement) -> ExtElement:
-        """The Frobenius a -> a^p on Fp2: x -> x^2 = -1 - x."""
-        a0, a1 = a.coeffs
-        f = self.fp
-        return self.fp2._from_coeffs([f.sub(a0, a1), f.neg(a1)])
-
-    def element(self, coefficients: Tuple[int, int]) -> ExtElement:
-        """Build an Fp2 element from *plain* trace coefficients."""
-        return self.fp2(list(coefficients))
-
-    def trace_value(self, element: ExtElement) -> XtrTrace:
-        """Read an Fp2 element out as a (plain-coefficient) trace value."""
-        f = self.fp
-        return XtrTrace(coefficients=tuple(f.exit(c) for c in element.coeffs))
 
     # -- direct traces from Fp6 (reference path) -------------------------------------
 
@@ -129,83 +124,56 @@ class XtrContext:
 
         ``trace``, when given, tallies the Fp2 multiplications of the ladder
         in the unified :class:`~repro.exp.trace.OpTrace` vocabulary: every
-        :meth:`_double_trace` is one Fp2 squaring, every :meth:`_mixed` is two
-        general Fp2 multiplications.  (The ladder has no single group
-        operation the way torus/RSA/ECC do, so the counted unit here is the
-        Fp2 multiplication — the quantity Lenstra-Verheul's own cost analysis
-        is written in.)
+        ``c_2n`` double step is one Fp2 squaring, every off-by-one (mixed)
+        step is two general Fp2 multiplications.  (The ladder has no single
+        group operation the way torus/RSA/ECC do, so the counted unit here
+        is the Fp2 multiplication — the quantity Lenstra-Verheul's own cost
+        analysis is written in.)
         """
+        conjugate, double, mixed = self._steps
+        f = self.fp
         if exponent < 0:
             # c_(-n) = c_n^p
             positive = self.exponentiate(base_trace, -exponent, trace=trace)
-            return self.trace_value(self._conjugate(self.element(positive.coefficients)))
-        fp2 = self.fp2
-        c1 = self.element(base_trace.coefficients)
-        c1_conj = self._conjugate(c1)
-        three = fp2.from_base(3)
+            a0, a1 = positive.coefficients
+            return self._read(conjugate((f.enter(a0), f.enter(a1))))
+        a0, a1 = base_trace.coefficients
+        c1 = (f.enter(a0), f.enter(a1))
+        c1_conj = conjugate(c1)
+        three = (f.enter(3), 0)
 
         if exponent == 0:
-            return self.trace_value(three)
+            return self._read(three)
         if exponent == 1:
             return base_trace
         if exponent == 2:
-            return self.trace_value(self._double_trace(c1, trace))
+            if trace is not None:
+                trace.squarings += 1
+            return self._read(double(c1))
 
         # Triple S_k = (c_(k-1), c_k, c_(k+1)), starting at k = 1.
-        c_prev, c_cur, c_next = three, c1, self._double_trace(c1, trace)
-        k = 1
-        for bit in bin(exponent)[3:]:
-            c2k_minus_1 = self._mixed(c_prev, c_cur, c_next, c1_conj, conj_last=True, trace=trace)
-            c2k = self._double_trace(c_cur, trace)
-            c2k_plus_1 = self._mixed(c_next, c_cur, c_prev, c1, conj_last=True, trace=trace)
-            if bit == "0":
-                c_prev, c_cur, c_next = c2k_minus_1, c2k, c2k_plus_1
-                k = 2 * k
-            else:
-                c2k_plus_2 = self._double_trace(c_next, trace)
-                c_prev, c_cur, c_next = c2k, c2k_plus_1, c2k_plus_2
-                k = 2 * k + 1
-        if k != exponent:  # pragma: no cover - ladder invariant
-            raise ParameterError("XTR ladder lost track of the exponent")
-        return self.trace_value(c_cur)
-
-    def _double_trace(self, c_n: ExtElement, trace: Optional[OpTrace] = None) -> ExtElement:
-        """c_(2n) = c_n^2 - 2 c_n^p.
-
-        The doubling of the conjugate is an addition (the platform's MA
-        microcode), not a scalar multiplication, so the executed operation
-        stream matches :func:`repro.soc.sequences.xtr_double_step_program`.
-        """
-        fp2 = self.fp2
-        square = fp2.mul(c_n, c_n)
-        conj = self._conjugate(c_n)
-        twice_conj = fp2.add(conj, conj)
+        c_prev, c_cur, c_next = three, c1, double(c1)
         if trace is not None:
             trace.squarings += 1
-        return fp2.sub(square, twice_conj)
+        for bit in bin(exponent)[3:]:
+            # c_(2k-1) = c_(k-1) c_k - c_1^p c_k^p + c_(k+1)^p, then c_2k, then
+            # c_(2k+1) = c_(k+1) c_k - c_1 c_k^p + c_(k-1)^p.
+            c2k_minus_1 = mixed(c_prev, c_cur, c_next, c1_conj)
+            c2k = double(c_cur)
+            c2k_plus_1 = mixed(c_next, c_cur, c_prev, c1)
+            if bit == "0":
+                c_prev, c_cur, c_next = c2k_minus_1, c2k, c2k_plus_1
+            else:
+                c_prev, c_cur, c_next = c2k, c2k_plus_1, double(c_next)
+            if trace is not None:
+                trace.squarings += 1 if bit == "0" else 2
+                trace.multiplications += 4
+        return self._read(c_cur)
 
-    def _mixed(
-        self,
-        c_a: ExtElement,
-        c_k: ExtElement,
-        c_b: ExtElement,
-        c_factor: ExtElement,
-        conj_last: bool,
-        trace: Optional[OpTrace] = None,
-    ) -> ExtElement:
-        """The off-by-one products of the ladder.
-
-        Computes ``c_a * c_k - c_factor * c_k^p + c_b^p`` which instantiates
-        both c_(2k-1) (with c_a = c_(k-1), c_b = c_(k+1), c_factor = c_1^p)
-        and c_(2k+1) (with c_a = c_(k+1), c_b = c_(k-1), c_factor = c_1).
-        """
-        fp2 = self.fp2
-        term1 = fp2.mul(c_a, c_k)
-        term2 = fp2.mul(c_factor, self._conjugate(c_k))
-        term3 = self._conjugate(c_b) if conj_last else c_b
-        if trace is not None:
-            trace.multiplications += 2
-        return fp2.add(fp2.sub(term1, term2), term3)
+    def _read(self, pair: Tuple[int, int]) -> XtrTrace:
+        """A resident coefficient pair read out as a (plain) trace value."""
+        f = self.fp
+        return XtrTrace(coefficients=(f.exit(pair[0]), f.exit(pair[1])))
 
     # -- operation counting ------------------------------------------------------------
 
@@ -221,3 +189,80 @@ class XtrContext:
 
     def random_exponent(self, rng: Optional[random.Random] = None) -> int:
         return sample_exponent(self.params.q, rng)
+
+
+# -- the ladder's Fp2 steps on coefficient pairs --------------------------------------
+
+
+def _plain_steps(p: int):
+    """``(conjugate, double, mixed)`` on raw integer pairs modulo ``p``.
+
+    Over a plain base field resident values are reduced integers, so every
+    step computes its exact integer result and reduces each output
+    coordinate once.  Same values as :func:`_field_steps`.
+    """
+
+    def conjugate(c):
+        # The Frobenius a -> a^p on Fp2: x -> x^2 = -1 - x.
+        a0, a1 = c
+        return (a0 - a1) % p, -a1 % p
+
+    def double(c):
+        # c_2n = c_n^2 - 2 c_n^p, with c_n^2 = (a0^2 - a1^2, 2 a0 a1 - a1^2)
+        # and c_n^p = (a0 - a1, -a1).
+        a0, a1 = c
+        return (a0 - a1) * (a0 + a1 - 2) % p, a1 * (2 * a0 - a1 + 2) % p
+
+    def mixed(ca, ck, cb, cf):
+        # ca * ck - cf * ck^p + cb^p, both products in Karatsuba form.
+        a0, a1 = ca
+        k0, k1 = ck
+        f0, f1 = cf
+        b0, b1 = cb
+        t0 = a0 * k0
+        t1 = a1 * k1
+        t2 = (a0 + a1) * (k0 + k1)
+        kc0 = k0 - k1  # ck^p = (kc0, -k1)
+        u0 = f0 * kc0
+        u1 = f1 * k1  # = -(f1 * (ck^p)_1)
+        u2 = (f0 + f1) * (kc0 - k1)
+        return (
+            (t0 - t1 - u0 - u1 + b0 - b1) % p,
+            (t2 - t0 - 2 * t1 - u2 + u0 - 2 * u1 - b1) % p,
+        )
+
+    return conjugate, double, mixed
+
+
+def _field_steps(fp2):
+    """``(conjugate, double, mixed)`` through the base field's operations.
+
+    Each step issues the base-field additions, subtractions and
+    multiplications of its level-2 sequence
+    (:func:`repro.soc.sequences.xtr_double_step_program` and
+    :func:`~repro.soc.sequences.xtr_mixed_step_program`), so resident
+    backends keep their representation and counting backends tally exactly
+    the analytic composition.  Negating the x coefficient of a conjugate is
+    free, as on the platform.
+    """
+    f = fp2.base
+    mul = fp2.mul_pair
+
+    def conjugate(c):
+        a0, a1 = c
+        return f.sub(a0, a1), f.neg(a1)
+
+    def double(c):
+        square = mul(c, c)
+        k0, k1 = conjugate(c)
+        twice0, twice1 = f.add(k0, k0), f.add(k1, k1)
+        return f.sub(square[0], twice0), f.sub(square[1], twice1)
+
+    def mixed(ca, ck, cb, cf):
+        term1 = mul(ca, ck)
+        term2 = mul(cf, conjugate(ck))
+        b0, b1 = conjugate(cb)
+        d0, d1 = f.sub(term1[0], term2[0]), f.sub(term1[1], term2[1])
+        return f.add(d0, b0), f.add(d1, b1)
+
+    return conjugate, double, mixed

@@ -7,6 +7,7 @@ and both SEC1 point paths.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.pkc import ENCRYPTION, KEY_AGREEMENT, SIGNATURE, get_scheme
+from repro.pkc.base import kdf, xor_bytes
 
 WIRE_SCHEMES = ["ceilidh-toy32", "ceilidh-170", "xtr-toy32", "rsa-512", "ecdh-p160"]
 
@@ -227,3 +229,34 @@ class TestXtrTraceWire:
         bad = (scheme.params.p).to_bytes(width, "big") * 2
         with pytest.raises(ParameterError):
             scheme.decode_public(bad)
+
+
+def _kdf_appending(secret: bytes, info: bytes, length: int) -> bytes:
+    """The KDF as first written, growing its output with ``+=``: the reference."""
+    output = b""
+    counter = 0
+    while len(output) < length:
+        output += hashlib.sha256(counter.to_bytes(4, "big") + secret + info).digest()
+        counter += 1
+    return output[:length]
+
+
+class TestKeystreamPrimitives:
+    """The KDF and the keystream XOR every hybrid body and channel record uses."""
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4700, 8192])
+    def test_kdf_matches_the_appending_loop(self, length):
+        derived = kdf(b"secret", b"info", length)
+        assert len(derived) == length
+        assert derived == _kdf_appending(b"secret", b"info", length)
+
+    @pytest.mark.parametrize("length", [0, 1, 77])
+    def test_xor_bytes_matches_bytewise_xor(self, length):
+        rng = random.Random(length)
+        data = bytes([0] * (length // 2)) + bytes(
+            rng.randrange(256) for _ in range(length - length // 2)
+        )
+        keystream = bytes(rng.randrange(256) for _ in range(length))
+        assert xor_bytes(data, keystream) == bytes(d ^ k for d, k in zip(data, keystream))
+        # Leading zero bytes survive the trip through an integer.
+        assert xor_bytes(keystream, keystream) == bytes(length)

@@ -5,6 +5,10 @@ import random
 import pytest
 
 from repro.errors import DecryptionError, ParameterError
+from repro.exp.trace import OpTrace
+from repro.field.fp import PrimeField
+from repro.montgomery.domain import MontgomeryDomain
+from repro.pkc import get_scheme
 from repro.rsa.keygen import generate_rsa_keypair
 from repro.rsa.rsa import (
     rsa_decrypt,
@@ -13,6 +17,7 @@ from repro.rsa.rsa import (
     rsa_encrypt,
     rsa_encrypt_int,
     rsa_sign,
+    rsa_sign_many,
     rsa_verify,
 )
 
@@ -103,3 +108,66 @@ class TestSignatures:
 
     def test_garbage_signature_rejected(self, keypair):
         assert not rsa_verify(keypair, b"message", b"\x01" * ((keypair.n.bit_length() + 7) // 8))
+
+
+class TestCrtArithmetic:
+    """CRT halves over plain PrimeFields match the Montgomery domains exactly."""
+
+    @staticmethod
+    def _arithmetic(keypair):
+        return {
+            "plain": (
+                PrimeField(keypair.p, check_prime=False),
+                PrimeField(keypair.q, check_prime=False),
+            ),
+            "montgomery": (MontgomeryDomain(keypair.p), MontgomeryDomain(keypair.q)),
+        }
+
+    def test_plain_equals_montgomery_and_pow(self, keypair, rng):
+        arithmetic = self._arithmetic(keypair)
+        ciphertexts = [0, 1, keypair.n - 1, 5 * keypair.p] + [
+            rng.randrange(keypair.n) for _ in range(4)
+        ]
+        for ciphertext in ciphertexts:
+            traces = {}
+            for backend, domains in arithmetic.items():
+                traces[backend] = OpTrace()
+                value = rsa_decrypt_int_crt(
+                    keypair, ciphertext, trace=traces[backend], domains=domains
+                )
+                assert value == pow(ciphertext, keypair.d, keypair.n), (backend, ciphertext)
+            assert traces["plain"].as_dict() == traces["montgomery"].as_dict()
+            assert traces["plain"].squarings > 0
+
+    def test_batched_signatures_match_on_both(self, keypair):
+        messages = [b"first", b"second", b""]
+        expected = [rsa_sign(keypair, message) for message in messages]
+        traces = {}
+        for backend, domains in self._arithmetic(keypair).items():
+            traces[backend] = OpTrace()
+            assert rsa_sign_many(
+                keypair, messages, trace=traces[backend], domains=domains
+            ) == expected
+        assert traces["plain"].as_dict() == traces["montgomery"].as_dict()
+
+    def test_mismatched_prime_field_rejected(self, keypair):
+        wrong = (PrimeField(keypair.q, check_prime=False), PrimeField(keypair.p, check_prime=False))
+        with pytest.raises(ParameterError):
+            rsa_decrypt_int_crt(keypair, 2, domains=wrong)
+
+    @pytest.mark.parametrize(
+        "backend, kind",
+        [("plain", PrimeField), ("montgomery", MontgomeryDomain), ("word-counting", None)],
+    )
+    def test_scheme_builds_per_prime_arithmetic_once_per_key(self, backend, kind):
+        scheme = get_scheme("rsa-512", fresh=True, backend=backend)
+        key = scheme.keygen(random.Random(5))
+        first = scheme._crt_domains(key.native)
+        assert scheme._crt_domains(key.native) == first
+        assert all(a is b for a, b in zip(scheme._crt_domains(key.native), first))
+        if kind is not None:
+            assert all(isinstance(arithmetic, kind) for arithmetic in first)
+        message = b"cached arithmetic"
+        ciphertext = scheme.encrypt(key.public_wire, message, random.Random(6))
+        assert scheme.decrypt(key, ciphertext) == message
+        assert scheme.sign(key, message) == scheme.sign_many(key, [message])[0]

@@ -39,6 +39,7 @@ from repro.serve.client import ServeClient
 from repro.serve.cluster import reuseport_available
 from repro.serve.protocol import (
     CHANNEL_ID_LEN,
+    CHANNEL_OPS,
     FrameDecoder,
     OP_CHAN_MSG,
     OP_CHAN_OPEN,
@@ -136,6 +137,10 @@ class TestRecordCrypto:
         with pytest.raises(TamperedRecordError):
             server.open(record[:-1] + bytes([record[-1] ^ 1]))
         assert server.open(record) == b"legit"  # honest retry still lands
+
+
+def test_every_channel_opcode_has_a_handler():
+    assert set(ServeServer._CHANNEL_HANDLERS) == set(CHANNEL_OPS)
 
 
 class FakeClock:

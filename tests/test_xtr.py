@@ -10,6 +10,8 @@ import random
 import pytest
 
 from repro.errors import ParameterError
+from repro.exp.trace import OpTrace
+from repro.field.backend import get_backend
 from repro.torus.params import get_parameters
 from repro.torus.t6 import T6Group
 from repro.xtr.keyagreement import XtrSystem
@@ -72,6 +74,70 @@ class TestTraceIdentities:
 
     def test_operation_count_estimate(self, context32):
         assert context32.ladder_multiplication_count(170) == 680
+
+
+#: Per exponent on toy-32, as the ExtElement ladder this one replaced counted
+#: them: (OpTrace squarings, OpTrace multiplications, and the word-counting
+#: stream's modular_mults, modular_adds, modular_subs, word_mults,
+#: word_adds, final_subtractions).  A ladder that skips, reorders or adds a
+#: step moves one of them.
+_Q32 = get_parameters("toy-32").q
+_RANDOM32 = random.Random(2100)
+LADDER_TALLIES = {
+    0: (0, 0, (0, 0, 1, 0, 4, 0)),
+    1: (0, 0, (0, 0, 1, 0, 4, 0)),
+    2: (1, 0, (3, 4, 8, 30, 82, 1)),
+    3: (3, 4, (21, 24, 46, 210, 482, 5)),
+    _Q32 - 1: (54, 156, (630, 684, 1315, 6300, 13856, 88)),
+    -7: (5, 8, (39, 44, 85, 390, 868, 7)),
+}
+for _tallies in (
+    (60, 152, (636, 696, 1333, 6360, 14034, 90)),
+    (57, 152, (627, 684, 1312, 6270, 13772, 99)),
+    (59, 152, (633, 692, 1326, 6330, 13940, 102)),
+):
+    LADDER_TALLIES[_RANDOM32.randrange(4, _Q32)] = _tallies
+
+
+class TestLadderOnCoefficientPairs:
+    """The pair ladder on every backend: Fp6 truth, tallies and word stream."""
+
+    @pytest.mark.parametrize("backend", ["plain", "montgomery", "word-counting"])
+    def test_matches_fp6_power_with_unchanged_counts(self, backend):
+        params = get_parameters("toy-32")
+        spec = get_backend(backend)
+        context = XtrContext(params, backend=spec)
+        g = T6Group(params, backend=spec).generator()
+        base = context.trace_of_fp6(g.value)
+        for exponent, (squarings, multiplications, stream) in LADDER_TALLIES.items():
+            direct = context.trace_of_fp6((g ** exponent).value)
+            trace = OpTrace()
+            if backend == "word-counting":
+                spec.stream.reset()
+            assert context.exponentiate(base, exponent, trace=trace) == direct, exponent
+            assert (trace.squarings, trace.multiplications) == (squarings, multiplications)
+            if backend == "word-counting":
+                counted = spec.stream.as_dict()
+                assert counted["inversions"] == 0
+                assert tuple(
+                    counted[key]
+                    for key in (
+                        "modular_mults", "modular_adds", "modular_subs",
+                        "word_mults", "word_adds", "final_subtractions",
+                    )
+                ) == stream, exponent
+
+    def test_plain_and_counting_steps_agree_at_170_bits(self, rng):
+        params = get_parameters("ceilidh-170")
+        plain = XtrContext(params)
+        resident = XtrContext(params, backend="montgomery")
+        base = plain.generator_trace()
+        for exponent in [rng.randrange(1, params.q) for _ in range(3)] + [-rng.randrange(1, params.q)]:
+            plain_trace, resident_trace = OpTrace(), OpTrace()
+            assert plain.exponentiate(base, exponent, trace=plain_trace) == (
+                resident.exponentiate(base, exponent, trace=resident_trace)
+            )
+            assert plain_trace.as_dict() == resident_trace.as_dict()
 
 
 class TestXtrKeyAgreement:
