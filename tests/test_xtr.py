@@ -127,18 +127,6 @@ class TestLadderOnCoefficientPairs:
                     )
                 ) == stream, exponent
 
-    def test_plain_and_counting_steps_agree_at_170_bits(self, rng):
-        params = get_parameters("ceilidh-170")
-        plain = XtrContext(params)
-        resident = XtrContext(params, backend="montgomery")
-        base = plain.generator_trace()
-        for exponent in [rng.randrange(1, params.q) for _ in range(3)] + [-rng.randrange(1, params.q)]:
-            plain_trace, resident_trace = OpTrace(), OpTrace()
-            assert plain.exponentiate(base, exponent, trace=plain_trace) == (
-                resident.exponentiate(base, exponent, trace=resident_trace)
-            )
-            assert plain_trace.as_dict() == resident_trace.as_dict()
-
 
 class TestXtrKeyAgreement:
     def test_shared_secret(self):
