@@ -237,7 +237,7 @@ def _plain_steps(p: int):
 def _field_steps(fp2):
     """``(conjugate, double, mixed)`` through the base field's operations.
 
-    Each step issues the base-field additions, subtractions and
+    Each step performs the base-field additions, subtractions and
     multiplications of its level-2 sequence
     (:func:`repro.soc.sequences.xtr_double_step_program` and
     :func:`~repro.soc.sequences.xtr_mixed_step_program`), so resident
