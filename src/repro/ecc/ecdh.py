@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.audit.annotations import Secret
 from repro.errors import ParameterError, SignatureError
@@ -106,7 +106,7 @@ def ecdh_shared_secret_with_many(
     """Shared secrets of N own keys against **one** peer point.
 
     The coalesced client phase: every session multiplies the same peer
-    point, so one fixed-base doubling chain
+    point, so one fixed-base table
     (:func:`~repro.ecc.scalar.scalar_mult_shared_point`) and one batched
     affine conversion serve the whole batch.  Wire bytes are identical to N
     :func:`ecdh_shared_secret` calls.
@@ -141,16 +141,29 @@ def ecdsa_sign(
     rng: Optional[random.Random] = None,
     count: Optional[ScalarMultCount] = None,
     generator: Optional[AffinePoint] = None,
+    generator_power: Optional[Callable[[int, Optional[ScalarMultCount]], AffinePoint]] = None,
 ) -> Tuple[int, int]:
-    """ECDSA signature (r, s) with a SHA-256 message digest."""
+    """ECDSA signature (r, s) with a SHA-256 message digest.
+
+    ``generator_power(k, count)`` supplies the nonce point k*G, e.g. from a
+    scheme's cached fixed-base table; without it k*G is a scalar
+    multiplication of ``generator``.  Either way k, r and s are the same.
+    """
     rng = resolve_rng(rng)
     named = own.curve
-    if generator is None:
-        _, generator = named.build()
+    if generator_power is None:
+        if generator is None:
+            _, generator = named.build()
+        base = generator
+
+        def wnaf_power(k: int, count: Optional[ScalarMultCount]) -> AffinePoint:
+            return scalar_mult(base, k, count=count)
+
+        generator_power = wnaf_power
     e = _hash_to_int(message, named.order)
     for _ in range(64):
         k = sample_exponent(named.order, rng)
-        point = scalar_mult(generator, k, count=count)
+        point = generator_power(k, count)
         r = point.curve.field.exit(point.x) % named.order
         if r == 0:
             continue

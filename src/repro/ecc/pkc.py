@@ -3,10 +3,10 @@
 The adapter speaks SEC1 bytes over the existing ECDH/ECDSA entry points and
 adds the hybrid encryption leg (hashed-ElGamal / ECIES-style: ephemeral ECDH
 + XOR keystream + confirmation tag) the cross-scheme comparison needs.  Key
-generation and ECIES ephemerals run from a cached fixed-base table on the
-generator — the same amortisation CEILIDH applies to its generator powers,
-which is what makes the batched serving benchmark an apples-to-apples
-comparison.
+generation, ECIES ephemerals and ECDSA nonce points run from a cached
+fixed-base table on the generator — the same amortisation CEILIDH applies to
+its generator powers, which is what makes the batched serving benchmark an
+apples-to-apples comparison.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class EcdhScheme(PkcScheme):
         trace: Optional[OpTrace] = None,
     ) -> "list[bytes]":
         """N own keys against one peer point: the point is decoded once and
-        a shared fixed-base doubling chain serves the batch (byte-identical
+        a shared fixed-base table serves the batch (byte-identical
         to looping :meth:`key_agreement`)."""
         peer = decode_point(self.curve, peer_public, curve=self._curve_obj)
         shareds = ecdh_shared_secret_with_many(
@@ -244,7 +244,9 @@ class EcdhScheme(PkcScheme):
         rng: Optional[random.Random] = None,
         trace: Optional[OpTrace] = None,
     ) -> bytes:
-        r, s = ecdsa_sign(own.native, message, rng, count=trace, generator=self._generator)
+        r, s = ecdsa_sign(
+            own.native, message, rng, count=trace, generator_power=self.generator_power
+        )
         return encode_scalar_pair(r, s, self._scalar_width)
 
     def verify(

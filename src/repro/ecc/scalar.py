@@ -125,9 +125,9 @@ def scalar_mult_shared_point(
 ) -> "list[AffinePoint]":
     """One point, many scalars — the coalesced client phase on a curve.
 
-    A single fixed-base doubling chain over the point (built once, sized by
-    the widest scalar) serves every product, and the Jacobian results share
-    one affine conversion.  Point values are identical to N
+    A single fixed-base table over the point (built once, sized by the
+    widest scalar, of the cheapest width for the batch) serves every
+    product, and the Jacobian results share one affine conversion.  Point values are identical to N
     :func:`scalar_mult` calls; only the operation schedule changes.
     """
     from repro.ecc.point import to_affine_many

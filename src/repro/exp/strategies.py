@@ -15,7 +15,7 @@ exponentiation and ECC scalar multiplication:
 ``sliding``        sliding window over an odd-power table (no inversions)
 ``window``         fixed 2^w-entry window (the historical windowed variant)
 ``ladder``         Montgomery ladder (regular pattern, side-channel shape)
-``fixed_base``     full precomputed power table, zero online squarings
+``fixed_base``     signed fixed-window power table, zero online squarings
 ``shamir``         Shamir/Straus simultaneous double exponentiation
 =================  ==========================================================
 
@@ -458,9 +458,10 @@ def exp_fixed_base(
 
     Only sensible through the registry for cost comparisons; real fixed-base
     users keep a :class:`FixedBaseTable` across many exponentiations so the
-    squaring chain is paid once.
+    table is paid once and each power costs only its digits' products
+    (:func:`expected_counts` models them).
     """
-    table = FixedBaseTable(group, base, max(1, exponent.bit_length()), trace=trace)
+    table = FixedBaseTable(group, base, max(1, exponent.bit_length()), trace=trace, uses=1)
     return table.power(exponent, trace=trace)
 
 
@@ -469,13 +470,102 @@ def exp_fixed_base(
 # ---------------------------------------------------------------------------
 
 
-class FixedBaseTable:
-    """Precomputed powers ``g^(2^i)`` of a fixed base.
+#: Width of a table kept for the life of its base (the generator tables):
+#: each power then costs ~n/4 * 15/16 products, and the build of 8 entries
+#: per 4 exponent bits costs about what one power per bit did.
+CACHED_TABLE_WIDTH = 4
 
-    Building the table costs ``max_bits - 1`` squarings once; afterwards each
-    ``power`` call needs only ~popcount(e) - 1 general multiplications and
-    *zero* squarings — the classic trade for generator exponentiations in key
-    generation, CEILIDH/ECDH key agreement and Schnorr commitments.
+#: Widest window :func:`fixed_base_width` considers for a batch.
+_MAX_TABLE_WIDTH = 6
+
+
+def fixed_window_digits(exponent: int, width: int, ties_negative: bool = True) -> List[int]:
+    """Signed fixed-window digits of ``exponent >= 0``, least significant first.
+
+    Digit ``i`` has weight ``2^(width*i)`` and lies in
+    ``[-2^(width-1), 2^(width-1)]``, so a table row needs only the
+    ``2^(width-1)`` positive multiples.  A digit of exactly ``2^(width-1)``
+    turns negative (carrying one) when ``ties_negative`` holds and the next
+    window is odd: at width 1 that is the NAF, and without it width 1 is
+    plain binary, the recoding for groups whose inversion is not free.
+    """
+    digits: List[int] = []
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    while exponent:
+        digit = exponent & mask
+        exponent >>= width
+        if digit > half or (ties_negative and digit == half and exponent & 1):
+            digit -= mask + 1
+            exponent += 1
+        digits.append(digit)
+    return digits
+
+
+def _products_per_power(width: int, exponent_bits: int) -> float:
+    """Expected products of one power from a signed table: one per non-zero
+    digit, a third of the bits at width 1 (the NAF)."""
+    if width == 1:
+        return exponent_bits / 3
+    return exponent_bits / width * (1 - 2.0 ** -width)
+
+
+def _table_bits(group: Group, exponent_bits: int) -> int:
+    """Exponent bits a table's rows must cover.
+
+    With an endomorphism ``phi(g) = g^lambda`` a power splits as
+    ``e0 + e1*lambda`` and both halves share the rows, so they cover the
+    wider of ``e0 < lambda`` and ``e1``.
+    """
+    lam = group.endomorphism_exponent
+    if lam is None:
+        return exponent_bits
+    lam_bits = lam.bit_length()
+    return max(min(exponent_bits, lam_bits), exponent_bits - lam_bits + 1)
+
+
+def fixed_base_width(group: Group, exponent_bits: int, uses: Optional[int] = None) -> int:
+    """The window width of a :class:`FixedBaseTable` serving ``uses`` powers.
+
+    ``None`` means a table kept for the life of its base:
+    :data:`CACHED_TABLE_WIDTH`.  Otherwise the width minimising table
+    entries plus ``uses`` times the expected products per power, counting
+    every group operation alike (two powers of 160 bits pick 1, twenty pick
+    4).  Groups without a free inversion always get width 1 with unsigned
+    digits, so their tables never invert.
+    """
+    if not group.cheap_inverse:
+        return 1
+    if uses is None:
+        return CACHED_TABLE_WIDTH
+    rows_bits = _table_bits(group, exponent_bits)
+
+    def cost(width: int) -> float:
+        rows = -(-rows_bits // width) + 1
+        return (rows << (width - 1)) + uses * _products_per_power(width, exponent_bits)
+
+    return min(range(1, _MAX_TABLE_WIDTH + 1), key=cost)
+
+
+class FixedBaseTable:
+    """Signed fixed-window table of a fixed base: no online squarings.
+
+    Row ``i`` holds ``g^(d * 2^(w*i))`` for ``d = 1 .. 2^(w-1)``, so a power
+    is one table entry per non-zero digit of :func:`fixed_window_digits`,
+    inverted for a negative digit (a free Frobenius on the torus, a
+    negation on a curve): ~n/w * (1 - 2^-w) products for an n-bit exponent,
+    n/3 at width 1 where the digits are the NAF (n/2, plain binary, on
+    groups without a free inversion).  Building a row costs ``2^(w-1)``
+    group operations, its even entries squarings.  For a group with an
+    endomorphism ``phi(g) = g^lambda`` (the torus's p-power Frobenius) the
+    exponent splits as ``e0 + e1*lambda``: the rows cover only
+    ~bits(lambda), and the product for ``e1`` is mapped through ``phi``
+    once per power.
+
+    The width follows from how many powers the table will serve
+    (:func:`fixed_base_width`): :data:`CACHED_TABLE_WIDTH` for tables kept
+    with their base, the cheapest width for a batch of ``uses``.  Rows
+    extend on demand for wider exponents.
     """
 
     def __init__(
@@ -484,48 +574,61 @@ class FixedBaseTable:
         base: Any,
         max_bits: int,
         trace: Optional[OpTrace] = None,
+        uses: Optional[int] = None,
     ):
         if max_bits < 1:
             raise ParameterError("fixed-base table needs max_bits >= 1")
         self.group = group
         self.base = base
-        self._powers: List[Any] = [base]
-        self._extend(max_bits, trace)
+        self.window_bits = fixed_base_width(group, max_bits, uses)
+        self._lam = group.endomorphism_exponent
+        self._rows: List[List[Any]] = []
+        bits = _table_bits(group, max_bits)
+        self._extend(-(-bits // self.window_bits) + 1, trace)
 
-    def _extend(self, max_bits: int, trace: Optional[OpTrace] = None) -> None:
-        if len(self._powers) >= max_bits:
+    def _extend(self, rows: int, trace: Optional[OpTrace] = None) -> None:
+        if len(self._rows) >= rows:
             return
-        square, _, _ = _bound_ops(self.group, trace)
-        while len(self._powers) < max_bits:
-            self._powers.append(square(self._powers[-1]))
-
-    @property
-    def max_bits(self) -> int:
-        return len(self._powers)
+        square, op, _ = _bound_ops(self.group, trace)
+        half = 1 << (self.window_bits - 1)
+        while len(self._rows) < rows:
+            # g^(2^(w*i)) is the square of the previous row's top entry.
+            first = square(self._rows[-1][-1]) if self._rows else self.base
+            row = [first]
+            for d in range(2, half + 1):
+                row.append(square(row[d // 2 - 1]) if d % 2 == 0 else op(row[-1], first))
+            self._rows.append(row)
 
     def power(self, exponent: int, trace: Optional[OpTrace] = None) -> Any:
-        """``base^exponent`` using only stored doublings."""
+        """``base^exponent`` from the stored rows alone."""
         group = self.group
+        _, op, inv = _bound_ops(group, trace)
         if exponent < 0:
-            result = self.power(-exponent, trace)
-            _, _, inv = _bound_ops(group, trace)
-            return inv(result)
+            return inv(self.power(-exponent, trace))
         if exponent == 0:
             return group.identity()
-        self._extend(exponent.bit_length(), trace)
-        _, op, _ = _bound_ops(group, trace)
-        powers = self._powers
+        if self._lam is None:
+            return self._product(exponent, op, inv, trace)
+        high, low = divmod(exponent, self._lam)
+        result = self._product(low, op, inv, trace)
+        if high:
+            mapped = group.endomorphism(self._product(high, op, inv, trace))
+            result = mapped if result is None else op(result, mapped)
+        return result
+
+    def _product(self, exponent: int, op, inv, trace: Optional[OpTrace]) -> Any:
+        """One table entry per non-zero digit, multiplied; ``None`` for 0."""
+        if not exponent:
+            return None
+        digits = fixed_window_digits(
+            exponent, self.window_bits, ties_negative=self.group.cheap_inverse
+        )
+        self._extend(len(digits), trace)
         result = None
-        index = 0
-        e = exponent
-        while e:
-            if e & 1:
-                if result is None:
-                    result = powers[index]
-                else:
-                    result = op(result, powers[index])
-            e >>= 1
-            index += 1
+        for row, digit in zip(self._rows, digits):
+            if digit:
+                entry = row[digit - 1] if digit > 0 else inv(row[-digit - 1])
+                result = entry if result is None else op(result, entry)
         return result
 
 
@@ -584,18 +687,19 @@ def exponentiate_shared_base(
 ) -> List[Any]:
     """``base^e`` for one base and many exponents, sharing the precomputation.
 
-    With two or more wide exponents one :class:`FixedBaseTable` —
-    ``max_bits`` squarings, paid once — serves the whole batch, so each
-    element costs only ~popcount multiplications: the multiplicative
-    analogue of ``inv_many``'s one-inversion trick.  Exact group arithmetic
-    makes the results value-identical to looping :func:`exponentiate`,
-    which remains the fallback for short batches and tiny exponents.
+    With two or more wide exponents one :class:`FixedBaseTable` of the
+    cheapest width for the batch size (:func:`fixed_base_width`), paid
+    once, serves the whole batch, so each element costs only its digits'
+    products: the multiplicative analogue of ``inv_many``'s one-inversion
+    trick.  Exact group arithmetic makes the results value-identical to
+    looping :func:`exponentiate`, which remains the fallback for short
+    batches and tiny exponents.
     """
     exponents = [int(e) for e in exponents]
     if len(exponents) >= 2:
         max_bits = max(abs(e).bit_length() for e in exponents)
         if max_bits >= _SHARED_TABLE_MIN_BITS:
-            table = FixedBaseTable(group, base, max_bits, trace=trace)
+            table = FixedBaseTable(group, base, max_bits, trace=trace, uses=len(exponents))
             return [table.power(e, trace=trace) for e in exponents]
     return [
         exponentiate(
@@ -729,7 +833,10 @@ def expected_counts(
     The ``binary``, ``naf`` and ``window`` forms reproduce the historical
     torus closed forms used by the Table 3 cost model; the others follow the
     standard averages (wNAF/sliding: ~n/(w+1) window hits plus the odd-power
-    table of 2^(w-1) - 1 products and one squaring).
+    table of 2^(w-1) - 1 products and one squaring).  ``fixed_base`` is the
+    online cost of one power from a prebuilt :class:`FixedBaseTable`
+    (default width :data:`CACHED_TABLE_WIDTH`): no squarings and one
+    product per non-zero signed digit, ~n/w * (1 - 2^-w), or n/3 at width 1.
     """
     n = exponent_bits
     if n < 1:
@@ -738,6 +845,10 @@ def expected_counts(
         return OpTrace(squarings=n - 1, multiplications=(n - 1) // 2)
     if strategy == "naf":
         return OpTrace(squarings=n, multiplications=n // 3)
+    if strategy == "fixed_base":
+        w = window_bits if window_bits is not None else CACHED_TABLE_WIDTH
+        check_window_bits(w)
+        return OpTrace(squarings=0, multiplications=round(_products_per_power(w, n)))
     w = window_bits if window_bits is not None else default_window_bits(n)
     check_window_bits(w)
     if strategy == "window":
@@ -750,8 +861,6 @@ def expected_counts(
         return OpTrace(squarings=n + 1, multiplications=n // (w + 1) + table)
     if strategy == "ladder":
         return OpTrace(squarings=n, multiplications=n)
-    if strategy == "fixed_base":
-        return OpTrace(squarings=0, multiplications=max(n // 2 - 1, 0))
     if strategy == "shamir":
         return OpTrace(squarings=n, multiplications=3 * n // 4 + 1)
     raise ParameterError(f"unknown strategy {strategy!r}")

@@ -53,8 +53,8 @@ def _coalesced_key_agreement_batch(
     batched inversions (one per group round instead of one per session),
     while the clients' N derivations against the *same* server public go
     through ``key_agreement_with_many`` and its shared fixed-base table
-    (the server point is decompressed once and its doubling chain is paid
-    once for the whole batch).  Byte-identical to the loop: client key
+    (the server point is decompressed once and its table is paid once for
+    the whole batch).  Byte-identical to the loop: client key
     generation is the only step that draws from ``rng``, and
     ``keygen_many`` preserves the draw order, so the wire bytes and derived
     keys match session for session.

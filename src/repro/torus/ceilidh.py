@@ -170,7 +170,7 @@ class CeilidhSystem:
         server public key.
 
         The peer is decompressed **once** and the N exponentiations share a
-        single fixed-base squaring chain
+        single fixed-base table
         (:meth:`~repro.torus.t6.T6Group.exponentiate_shared_base`), so the
         per-session cost drops to the multiplications.  Byte-identical to
         looping :meth:`shared_secret`; trace tallies reflect the shared

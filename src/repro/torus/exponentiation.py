@@ -143,7 +143,9 @@ def multiplication_counts(exponent_bits: int, strategy: str = "binary") -> Expon
     * ``window4``: n squarings, n/4 multiplications plus 14 table entries,
     * ``wnaf4`` / ``sliding4``: n squarings, ~n/5 multiplications plus the
       odd-power table,
-    * ``ladder``: n squarings and n multiplications.
+    * ``ladder``: n squarings and n multiplications,
+    * ``fixed_base``: one power from a prebuilt width-4 signed table, no
+      squarings and ~n/4 * 15/16 multiplications.
     """
     n = exponent_bits
     if strategy == "binary":

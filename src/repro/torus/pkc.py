@@ -120,7 +120,7 @@ class CeilidhScheme(PkcScheme):
         trace: Optional[OpTrace] = None,
     ) -> "list[bytes]":
         """N own keys against one peer: one decompression, one shared
-        fixed-base squaring chain across the batch (byte-identical)."""
+        fixed-base table across the batch (byte-identical)."""
         peer = decode_compressed(self.params, peer_public)
         return self.system.derive_key_with_many(
             [own.native for own in owns], peer, info=info, length=length, count=trace

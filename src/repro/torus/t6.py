@@ -240,7 +240,7 @@ class T6Group:
         strategy: str = "auto",
         count: Optional[OpTrace] = None,
     ) -> list:
-        """``element^e`` for many exponents with one shared squaring chain."""
+        """``element^e`` for many exponents off one shared fixed-base table."""
         return exponentiate_shared_base(
             self.exp_group(), element, exponents, strategy=strategy, trace=count
         )
@@ -250,9 +250,11 @@ class T6Group:
     ) -> TorusElement:
         """``generator^exponent`` from a cached fixed-base table.
 
-        The squaring chain is precomputed once per group (sized by the
-        subgroup order q), so each call needs only ~popcount(exponent) - 1
-        Fp6 multiplications and no squarings — the fast path for key
+        The width-4 signed table is built once per group; its rows cover
+        bits(p), and the p-power Frobenius maps the high half of
+        e = e0 + e1*p.  Each call then needs ~n/4 * 15/16 Fp6 products
+        (~72 for the 311-bit q of ceilidh-170), a free Frobenius inversion
+        per negative digit and no squarings — the fast path for key
         generation, ephemeral DH values and Schnorr commitments.
         """
         if self._generator_table is None:
@@ -266,7 +268,7 @@ class T6Group:
     ) -> list:
         """``generator^e`` for many exponents off the one cached table.
 
-        The squaring chain is already shared group-wide, so the batch form
+        The table is already shared group-wide, so the batch form
         is simply the loop — it exists so batch callers (``keygen_many``)
         read the same way at every layer.
         """

@@ -32,6 +32,7 @@ from repro.exp import (
     get_strategy,
     select_strategy,
 )
+from repro.exp.strategies import CACHED_TABLE_WIDTH, fixed_base_width
 from repro.exp.trace import ExponentiationCount, ExponentiationTrace, ScalarMultCount
 from repro.field import poly as P
 from repro.field.fp import PrimeField
@@ -292,6 +293,96 @@ class TestSplit:
         assert secret == scheme.key_agreement(client, server.public_wire)
         # The private exponent is as wide as q (311 bits); p has 170.
         assert trace.squarings <= ceilidh170_params.p.bit_length() + 1
+
+
+class TestSignedFixedBaseTable:
+    """The signed fixed-window table against binary exponentiation, on every
+    kind of group it serves and at every width it can pick."""
+
+    #: Batch sizes spanning every width the cost model picks, then ``None``
+    #: (a table cached with its base).
+    USES = tuple(range(2, 400)) + (None,)
+
+    @classmethod
+    def tables(cls, group, base, max_bits):
+        """One table per distinct width the group's tables can take."""
+        tables = {}
+        for uses in cls.USES:
+            width = fixed_base_width(group, max_bits, uses)
+            if width not in tables:
+                tables[width] = FixedBaseTable(group, base, max_bits, uses=uses)
+                assert tables[width].window_bits == width
+        return tables
+
+    def check(self, group, base, max_bits, exponents):
+        tables = self.tables(group, base, max_bits)
+        for width, table in tables.items():
+            for exponent in exponents:
+                expected = exponentiate(group, base, exponent, strategy="binary")
+                assert table.power(exponent) == expected, (width, exponent)
+        return tables
+
+    def test_torus_split(self, toy32_group, rng):
+        group = toy32_group.exp_group()
+        params = toy32_group.params
+        p, q = params.p, params.q
+        base = toy32_group.random_element(rng)
+        wide = rng.getrandbits(3 * q.bit_length()) | 1 << (3 * q.bit_length())
+        exponents = [0, 1, -1, q - 1, 1 - q, p - 1, p, p + 1, rng.randrange(q), wide,
+                     p * p, p * p + rng.randrange(p), p ** 3 - 1, -(p ** 4 + 7)]
+        assert sorted(self.check(group, base, q.bit_length(), exponents)) == [1, 3, 4, 5, 6]
+        # The rows cover bits(p) only, not bits(q); a wider e1 extends them.
+        table = FixedBaseTable(group, base, q.bit_length())
+        rows = -(-p.bit_length() // CACHED_TABLE_WIDTH) + 1
+        assert len(table._rows) == rows
+        assert table.power(wide) == exponentiate(group, base, wide, strategy="binary")
+        assert len(table._rows) > rows
+
+    def test_jacobian(self, toy_curve, rng):
+        curve, generator = toy_curve.build()
+        group = JacobianExpGroup(curve)
+        order = toy_curve.order
+        exponents = [0, 1, -1, order - 1, order, rng.getrandbits(40), -rng.getrandbits(40)]
+        tables = self.check(group, generator.to_jacobian(), order.bit_length(), exponents)
+        assert sorted(tables) == [1, 4, 5, 6]
+
+    @pytest.mark.parametrize("kind", ["fp", "montgomery"])
+    def test_groups_without_free_inversion(self, kind, rng):
+        p = 10007
+        if kind == "fp":
+            group, base = FieldExpGroup(PrimeField(p)), 5
+        else:
+            domain = MontgomeryDomain(p, word_bits=8)
+            group, base = MontgomeryExpGroup(domain), domain.to_montgomery(5)
+        exponents = [0, 1, -1, p - 2, rng.getrandbits(14), rng.getrandbits(60)]
+        tables = self.check(group, base, 14, exponents)
+        # Width 1 with unsigned digits: such tables never invert.
+        assert sorted(tables) == [1]
+        trace = OpTrace()
+        tables[1].power(rng.getrandbits(90), trace=trace)
+        assert trace.inversions == 0 and trace.squarings > 0  # the rows extended
+
+    def test_cheapest_width_for_two_powers_is_one(self, ceilidh170_group):
+        group = ceilidh170_group.exp_group()
+        assert fixed_base_width(group, 311, 2) == 1
+        assert fixed_base_width(group, 311, None) == CACHED_TABLE_WIDTH == 4
+
+    @pytest.mark.parametrize("bits", [160, 311])
+    def test_mean_products_match_the_model(self, bits, ceilidh170_group):
+        """200 seeded powers from the cached-width table average within 5%
+        of expected_counts("fixed_base", n); 311 bits takes the split."""
+        table = FixedBaseTable(
+            ceilidh170_group.exp_group(), ceilidh170_group.generator(), bits
+        )
+        rng = random.Random(bits)
+        online = OpTrace()
+        for _ in range(200):
+            table.power(rng.getrandbits(bits) | 1 << (bits - 1), trace=online)
+        model = expected_counts("fixed_base", bits)
+        assert online.squarings == model.squarings == 0
+        assert abs(online.multiplications / 200 - model.multiplications) <= (
+            0.05 * model.multiplications
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -194,3 +194,17 @@ class TestSchemeSpecifics:
         scheme.keygen(rng, trace=trace)
         assert trace.squarings == 0
         assert trace.multiplications > 0
+
+    def test_ecdsa_nonce_point_comes_from_the_generator_table(self):
+        from repro.ecc.ecdh import ecdsa_sign
+        from repro.pkc.base import decode_scalar_pair
+
+        scheme = get_scheme("ecdh-p160")
+        own = scheme.keygen(random.Random(3))
+        trace = OpTrace()
+        signature = scheme.sign(own, b"table", random.Random(4), trace=trace)
+        assert trace.squarings == 0 and trace.multiplications > 0
+        # The same k, r and s as a wNAF multiplication of the generator.
+        _, generator = scheme.curve.build(backend=scheme.field_backend)
+        reference = ecdsa_sign(own.native, b"table", random.Random(4), generator=generator)
+        assert decode_scalar_pair(signature, scheme._scalar_width) == reference
