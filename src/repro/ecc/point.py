@@ -4,7 +4,10 @@ The Jacobian formulas are the ones the platform's level-2 point-operation
 sequences implement (general addition: 12M + 4S, general doubling with the
 ``a * Z^4`` term: ~6M + 6S in Fp); keeping the reference arithmetic in the
 same coordinate system lets the microcoded sequences be validated against it
-value-for-value.
+value-for-value.  Over a plain prime field the same formulas run on Python
+integers, reducing once per coordinate product instead of calling a field
+method per operation; every other field keeps the method path, so counted
+and resident operation streams are unchanged.
 """
 
 from __future__ import annotations
@@ -149,9 +152,11 @@ class JacobianPoint:
         executed Fp operation stream matches the platform sequence
         (10 MM + 13 MA/MS) and stays valid under every field backend.
         """
-        f = self.curve.field
         if self.is_infinity() or self.y == 0:
             return JacobianPoint(self.curve, 1, 1, 0)
+        if self.curve.plain_arithmetic:
+            return self._double_plain()
+        f = self.curve.field
         xx = f.mul(self.x, self.x)                      # X^2
         yy = f.mul(self.y, self.y)                      # Y^2
         yyyy = f.mul(yy, yy)                            # Y^4
@@ -169,12 +174,25 @@ class JacobianPoint:
         z3 = f.add(t10, t10)
         return JacobianPoint(self.curve, x3, y3, z3)
 
+    def _double_plain(self) -> "JacobianPoint":
+        """:meth:`double` on raw integers: the same values, reduced per product."""
+        p = self.curve.field.p
+        x, y, z = self.x, self.y, self.z
+        yy = y * y % p
+        zz = z * z % p
+        s = 4 * x * yy % p
+        m = (3 * x * x + self.curve.a * (zz * zz % p)) % p
+        x3 = (m * m - 2 * s) % p
+        return JacobianPoint(self.curve, x3, m * (s - x3) - 8 * yy * yy, 2 * y * z)
+
     def add(self, other: "JacobianPoint") -> "JacobianPoint":
         """General Jacobian addition (handles doubling and inverse cases)."""
         if self.is_infinity():
             return other
         if other.is_infinity():
             return self
+        if self.curve.plain_arithmetic:
+            return self._add_plain(other)
         f = self.curve.field
         z1z1 = f.mul(self.z, self.z)
         z2z2 = f.mul(other.z, other.z)
@@ -195,6 +213,29 @@ class JacobianPoint:
         y3 = f.sub(f.mul(r, f.sub(v, x3)), f.mul(s1, hhh))
         z3 = f.mul(h, f.mul(self.z, other.z))
         return JacobianPoint(self.curve, x3, y3, z3)
+
+    def _add_plain(self, other: "JacobianPoint") -> "JacobianPoint":
+        """:meth:`add` on raw integers, both points finite; same values."""
+        p = self.curve.field.p
+        x1, y1, z1 = self.x, self.y, self.z
+        x2, y2, z2 = other.x, other.y, other.z
+        z1z1 = z1 * z1 % p
+        z2z2 = z2 * z2 % p
+        u1 = x1 * z2z2 % p
+        u2 = x2 * z1z1 % p
+        s1 = y1 * z2 * z2z2 % p
+        s2 = y2 * z1 * z1z1 % p
+        if u1 == u2:
+            if s1 != s2:
+                return JacobianPoint(self.curve, 1, 1, 0)
+            return self.double()
+        h = u2 - u1
+        r = s2 - s1
+        hh = h * h % p
+        hhh = h * hh % p
+        v = u1 * hh % p
+        x3 = (r * r - hhh - 2 * v) % p
+        return JacobianPoint(self.curve, x3, r * (v - x3) - s1 * hhh, h * z1 * z2)
 
     def __add__(self, other: "JacobianPoint") -> "JacobianPoint":
         return self.add(other)

@@ -28,7 +28,8 @@ to the published CEILIDH maps):
 ``psi(u, v)`` (decompression) evaluates exactly this; ``rho`` (compression)
 recovers ``c`` from alpha and returns ``u = (c0 - 1)/c2``, ``v = c1/c2``.
 Both are evaluated as closed forms in Fp3 that need one Fp inversion each
-(see :class:`TorusCompressor`).  The exceptional sets (identity, alpha = x,
+(see :class:`TorusCompressor`); over a plain prime field the same closed
+forms run on Python integers.  The exceptional sets (identity, alpha = x,
 the ruling lines of the quadric through c = 1, directions on the asymptotic
 cone) have size O(p) out of ~p^2 elements and raise
 :class:`~repro.errors.CompressionError`.
@@ -55,6 +56,27 @@ class CompressedElement:
         return (self.u, self.v)
 
 
+def _fp3_mul(a0: int, a1: int, a2: int, b0: int, b1: int, b2: int) -> Tuple[int, int, int]:
+    """Unreduced Fp3 product on integers, folded with y^3 = 3y - 1."""
+    e12 = a1 * b2 + a2 * b1
+    d2 = a2 * b2
+    return (
+        a0 * b0 - e12,
+        a0 * b1 + a1 * b0 + 3 * e12 - d2,
+        a0 * b2 + a2 * b0 + a1 * b1 + 3 * d2,
+    )
+
+
+def _fp3_adjugate(a0: int, a1: int, a2: int, p: int) -> Tuple[int, int, int, int]:
+    """:meth:`~repro.field.fp3.Fp3Field.adjugate` on integers: adj(a), N(a) mod p."""
+    s = a0 + 3 * a2
+    t = 3 * a1 - a2
+    adj0 = (s * s - a1 * t) % p
+    adj1 = (a2 * t - a1 * s) % p
+    adj2 = (a1 * a1 - a2 * s) % p
+    return adj0, adj1, adj2, (a0 * adj0 - a2 * adj1 - a1 * adj2) % p
+
+
 class TorusCompressor:
     """The maps rho (compress) and psi (decompress) for a fixed T6 group.
 
@@ -63,7 +85,10 @@ class TorusCompressor:
     (:meth:`~repro.field.fp3.Fp3Field.adjugate`), so each costs one Fp
     inversion.  Each map is split at that inversion into two per-item
     stages, and the batch forms run the same stages around one
-    :meth:`~repro.field.fp.PrimeField.inv_many`.
+    :meth:`~repro.field.fp.PrimeField.inv_many`.  Over a plain prime field
+    (the gate of :class:`~repro.field.fp6.Fp6Field`) the stages run on
+    integers, with tau and tau^-1 as their small-integer rows; every other
+    field keeps the field-method stages, so counted streams are unchanged.
     """
 
     def __init__(self, group):
@@ -76,6 +101,7 @@ class TorusCompressor:
         self.fp3 = self.tower.fp3
         self._one3 = self.fp3.one()
         self._two3 = self.fp3.from_base(2)
+        self._plain = self.fp6._plain_base
 
     # -- rho: T6 -> A^2 -----------------------------------------------------------
 
@@ -118,6 +144,8 @@ class TorusCompressor:
         """
         if value.is_one():
             raise CompressionError("the identity has no compressed representation")
+        if self._plain:
+            return self._rho_terms_plain(value)
         alpha = self.map.to_f2(value)
         fp3 = self.fp3
         a, b = alpha.a, alpha.b
@@ -131,6 +159,36 @@ class TorusCompressor:
                 "element lies on the exceptional line c2 = 0 (includes alpha = x)"
             )
         return self.fp.sub(w0, norm), w1, w2
+
+    def _rho_terms_plain(self, value: ExtElement) -> Tuple[int, int, int]:
+        """:meth:`_rho_terms` on integers, scaled by 27.
+
+        3*tau has integer rows, so with A = 3a and B = 3b the norm test is
+        A^2 - AB + B^2 = 9 and c = (3 - A + 2B)/(6 - 2A + B): the same u and
+        v from numerators and w2 each 27 times the field-method ones.
+        """
+        p = self.fp.p
+        t0, t1, t2, t3, t4, t5 = value.coeffs
+        a0 = 3 * t0 - 2 * t1 - 4 * t2 + 4 * t4 + 2 * t5
+        a1 = 2 * t1 + t2 - t4 - 2 * t5
+        a2 = t1 + 2 * t2 - 2 * t4 - t5
+        b0 = 3 * t3 - 4 * t1 - 2 * t2 + 2 * t4 - 2 * t5
+        b1 = t1 + 2 * t2 + t4 - t5
+        b2 = 2 * t1 + t2 - t4 + t5
+        m0, m1, m2 = _fp3_mul(a0 - b0, a1 - b1, a2 - b2, a0, a1, a2)
+        n0, n1, n2 = _fp3_mul(b0, b1, b2, b0, b1, b2)
+        if (m0 + n0 - 9) % p or (m1 + n1) % p or (m2 + n2) % p:
+            raise NotInTorusError("element is not in the norm-1 subgroup over Fp3")
+        adj0, adj1, adj2, norm = _fp3_adjugate(
+            (6 - 2 * a0 + b0) % p, (b1 - 2 * a1) % p, (b2 - 2 * a2) % p, p
+        )
+        w0, w1, w2 = _fp3_mul(3 - a0 + 2 * b0, 2 * b1 - a1, 2 * b2 - a2, adj0, adj1, adj2)
+        w2 %= p
+        if w2 == 0:
+            raise CompressionError(
+                "element lies on the exceptional line c2 = 0 (includes alpha = x)"
+            )
+        return (w0 - norm) % p, w1 % p, w2
 
     def _rho_pair(self, u_numerator: int, v_numerator: int, w2_inv: int) -> CompressedElement:
         # (u, v) is the wire-facing pair: exit the representation so the
@@ -149,8 +207,8 @@ class TorusCompressor:
         conic u^2 + 4u + 3 + v - v^2 = 0 or parametrises the point c = 1
         (whose torus element alpha = x is itself exceptional for rho).
         """
-        a, b, adj, norm = self._psi_terms(compressed)
-        return self._psi_element(a, b, adj, self.fp.inv(norm))
+        terms, norm = self._psi_terms(compressed)
+        return self._psi_element(terms, self.fp.inv(norm))
 
     def decompress_many(self, compresseds) -> "list[ExtElement]":
         """Decompress N pairs with ONE batch inversion total.
@@ -160,16 +218,14 @@ class TorusCompressor:
         guidance.
         """
         terms = [self._psi_terms(compressed) for compressed in compresseds]
-        inverses = self.fp.inv_many([norm for *_, norm in terms])
+        inverses = self.fp.inv_many([norm for _, norm in terms])
         return [
-            self._psi_element(a, b, adj, norm_inv)
-            for (a, b, adj, _), norm_inv in zip(terms, inverses)
+            self._psi_element(item, norm_inv)
+            for (item, _), norm_inv in zip(terms, inverses)
         ]
 
-    def _psi_terms(
-        self, compressed: CompressedElement
-    ) -> Tuple[ExtElement, ExtElement, ExtElement, int]:
-        """``(A, B, adj(D), N(D))`` with alpha = (A + B*x)/D.
+    def _psi_terms(self, compressed: CompressedElement) -> Tuple[tuple, int]:
+        """``((A, B, adj(D)), N(D))`` with alpha = (A + B*x)/D.
 
         The pencil through c = 1 gives c = (1 + t*u, t*v, t) with
         t = s/q, s = -(u + 2) and q = q(u, v, 1).  Then
@@ -179,6 +235,8 @@ class TorusCompressor:
         formed.  D = C^2 - qC + q^2 is q^2 times the norm of c + x^2 to Fp3,
         never zero because x^2 is not in Fp3, so N(D) is invertible.
         """
+        if self._plain:
+            return self._psi_terms_plain(compressed)
         f = self.fp
         fp3 = self.fp3
         # Wire values are plain integers; enter the field's representation.
@@ -200,13 +258,45 @@ class TorusCompressor:
         a = fp3.sub(c_squared, q_squared)
         b = fp3.sub(fp3.add(qc, qc), q_squared)
         adj, norm = fp3.adjugate(fp3.add(fp3.sub(c_squared, qc), q_squared))
-        return a, b, adj, norm
+        return (a, b, adj), norm
 
-    def _psi_element(
-        self, a: ExtElement, b: ExtElement, adj: ExtElement, norm_inv: int
-    ) -> ExtElement:
-        """alpha = (a + b*x)/D, given adj(D) and 1/N(D), in the F1 basis."""
+    def _psi_terms_plain(self, compressed: CompressedElement) -> Tuple[tuple, int]:
+        """:meth:`_psi_terms` on integers: tau^-1((A + B*x) adj(D)) and N(D).
+
+        tau^-1 has integer rows and is linear, so it is applied before the
+        division by N(D); the six F1 coordinates then need one product each.
+        """
+        p = self.fp.p
+        u, v = compressed.u % p, compressed.v % p
+        q = (u * u + 4 * u + 3 + v - v * v) % p
+        if q == 0:
+            raise CompressionError("(u, v) lies on the exceptional conic of psi")
+        s = -(u + 2) % p
+        if s == 0:
+            raise CompressionError("(u, v) parametrises the exceptional point c = 1")
+        c0, c1 = (q + s * u) % p, s * v % p
+        cc0, cc1, cc2 = _fp3_mul(c0, c1, s, c0, c1, s)
+        qc0, qc1, qc2 = q * c0, q * c1, q * s
+        qq = q * q
+        adj0, adj1, adj2, norm = _fp3_adjugate(
+            (cc0 - qc0 + qq) % p, (cc1 - qc1) % p, (cc2 - qc2) % p, p
+        )
+        a0, a1, a2 = (x % p for x in _fp3_mul(cc0 - qq, cc1, cc2, adj0, adj1, adj2))
+        b0, b1, b2 = (
+            x % p for x in _fp3_mul(2 * qc0 - qq, 2 * qc1, 2 * qc2, adj0, adj1, adj2)
+        )
+        terms = (
+            a0 + 2 * a2, a1 - a2 + b2, a2 - a1 + b1, b0 + 2 * b2, b1 - a2, b2 - a1
+        )
+        return terms, norm
+
+    def _psi_element(self, terms: tuple, norm_inv: int) -> ExtElement:
+        """alpha = (a + b*x)/D, given the terms and 1/N(D), in the F1 basis."""
+        if self._plain:
+            p = self.fp.p
+            return ExtElement._raw(self.fp6, tuple(t * norm_inv % p for t in terms))
         fp3 = self.fp3
+        a, b, adj = terms
         d_inv = fp3.scale(adj, norm_inv)
         return self.map.to_f1(TowerElement(self.tower, fp3.mul(a, d_inv), fp3.mul(b, d_inv)))
 

@@ -121,3 +121,79 @@ class TestJacobianArithmetic:
             jacobian = jacobian.add(g.to_jacobian())
             affine = affine + g
             assert jacobian.to_affine() == affine
+
+
+class TestPlainIntegerPath:
+    """Over a plain field ``double``/``add`` run on integers; every value
+    must equal the field-method formulas they replace."""
+
+    @staticmethod
+    def _points(curve, generator, rng, count=40):
+        """Jacobian points with assorted Z: generator multiples, rescaled."""
+        f = curve.field
+        points = []
+        current = generator.to_jacobian()
+        for _ in range(count):
+            current = current.add(current).add(generator.to_jacobian())
+            lam = f.enter(rng.randrange(1, f.p))
+            lam2 = f.mul(lam, lam)
+            points.append(
+                JacobianPoint(
+                    curve, f.mul(current.x, lam2), f.mul(current.y, f.mul(lam2, lam)),
+                    f.mul(current.z, lam),
+                )
+            )
+        return points
+
+    @staticmethod
+    def _cases(points):
+        infinity = JacobianPoint(points[0].curve, 1, 1, 0)
+        for a, b in zip(points, points[1:]):
+            yield a, b
+        for a in points[:8]:
+            yield a, a
+            yield a, JacobianPoint(a.curve, a.x, a.curve.field.sub(0, a.y), a.z)
+            yield a, infinity
+            yield infinity, a
+        yield infinity, infinity
+
+    @pytest.mark.parametrize("name", ["toy", "secp160r1"])
+    def test_matches_field_methods_and_montgomery(self, name, toy_curve, rng):
+        from repro.ecc.curves import get_curve
+
+        named = toy_curve if name == "toy" else get_curve(name)
+        plain_curve, generator = named.build()
+        field_curve, _ = named.build()
+        field_curve.plain_arithmetic = False
+        mont_curve, mont_generator = named.build(backend="montgomery")
+        assert plain_curve.plain_arithmetic and not mont_curve.plain_arithmetic
+        mf = mont_curve.field
+
+        def twin(point, curve, enter):
+            return JacobianPoint(curve, enter(point.x), enter(point.y), enter(point.z))
+
+        def coords(point, exit_):
+            # Infinity's (1 : 1 : 0) is not resident under Montgomery.
+            if point.is_infinity():
+                return "infinity"
+            return exit_(point.x), exit_(point.y), exit_(point.z)
+
+        points = self._points(plain_curve, generator, rng)
+        for a, b in self._cases(points):
+            expected = twin(a, field_curve, int).add(twin(b, field_curve, int))
+            result = a.add(b)
+            assert coords(result, int) == coords(expected, int)
+            montgomery = twin(a, mont_curve, mf.enter).add(twin(b, mont_curve, mf.enter))
+            assert coords(result, int) == coords(montgomery, mf.exit)
+            doubled = a.double()
+            assert coords(doubled, int) == coords(twin(a, field_curve, int).double(), int)
+            assert coords(doubled, int) == coords(
+                twin(a, mont_curve, mf.enter).double(), mf.exit
+            )
+
+    def test_counting_field_keeps_method_path(self):
+        from repro.ecc.curve import WeierstrassCurve
+        from repro.field.opcount import CountingPrimeField
+
+        curve = WeierstrassCurve(CountingPrimeField(1009), 2, 3)
+        assert not curve.plain_arithmetic

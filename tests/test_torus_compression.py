@@ -168,3 +168,84 @@ class TestCompressionBandwidth:
         element = toy32_group.random_subgroup_element(rng)
         compressed = element.compress()
         assert toy32_group.compressor.decompress_to_element(compressed) == element
+
+
+def _field_method_twin(group):
+    """A compressor on the same plain field that runs the field-method stages."""
+    twin = TorusCompressor(group)
+    twin._plain = False
+    return twin
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the error type is the outcome
+        return type(exc)
+
+
+class TestPlainIntegerStages:
+    """On a plain field rho/psi run as integer closed forms; they must give
+    the field-method stages' values and raise their errors."""
+
+    @pytest.mark.parametrize("name", ["toy-32", "toy-64", "ceilidh-170"])
+    def test_match_field_method_stages(self, name):
+        group = T6Group(get_parameters(name))
+        plain, twin = group.compressor, _field_method_twin(group)
+        assert plain._plain and not twin._plain
+        p = group.params.p
+        rng = random.Random(22)
+        values = [group.random_element(rng).value for _ in range(300)]
+        pairs = plain.compress_many(values)
+        assert pairs == twin.compress_many(values)
+        assert [plain.compress(value) for value in values[:30]] == pairs[:30]
+        assert plain.decompress_many(pairs) == twin.decompress_many(pairs) == values
+        # The integer rho stage is the field-method one scaled by 27.
+        for value in values[:30]:
+            *numerators, w2 = plain._rho_terms(value)
+            *expected, expected_w2 = twin._rho_terms(value)
+            assert w2 == 27 * expected_w2 % p
+            assert [n * expected_w2 % p for n in numerators] == [
+                e * w2 % p for e in expected
+            ]
+        # psi on arbitrary pairs, not only images of rho.
+        arbitrary = [CompressedElement(rng.randrange(p), rng.randrange(p)) for _ in range(300)]
+        assert [_outcome(plain.decompress, pair) for pair in arbitrary] == [
+            _outcome(twin.decompress, pair) for pair in arbitrary
+        ]
+
+    @pytest.mark.parametrize("name", ["toy-32", "toy-64", "ceilidh-170"])
+    def test_exceptional_classes_raise_alike(self, name):
+        group = T6Group(get_parameters(name))
+        plain, twin = group.compressor, _field_method_twin(group)
+        fp6, tower = group.fp6, plain.tower
+        p = group.params.p
+        rng = random.Random(23)
+        good = group.random_element(rng).value
+        non_torus = fp6.random_nonzero(rng)
+        while group.contains_raw(non_torus):  # pragma: no cover - ~1/p^4 chance
+            non_torus = fp6.random_nonzero(rng)
+        # A c2 = 0 point other than alpha = x: c = (c0, c1, 0) on the quadric
+        # needs c0^2 - c0 - c1^2 = 0, solvable when 1 + 4 c1^2 is a square.
+        c1 = next(c for c in range(2, 200) if plain.fp.is_square((1 + 4 * c * c) % p))
+        c0 = (1 + plain.fp.sqrt((1 + 4 * c1 * c1) % p)) * pow(2, -1, p) % p
+        c = tower.from_fp3(plain.fp3([c0, c1, 0]))
+        x = tower.x()
+        on_line = plain.map.to_f1(tower.mul(c + x, tower.inv(c + tower.mul(x, x))))
+        rho_cases = [
+            (fp6.one(), CompressionError),
+            (fp6([0, 0, 0, 1]), CompressionError),
+            (on_line, CompressionError),
+            (non_torus, NotInTorusError),
+        ]
+        for value, error in rho_cases:
+            for compressor in (plain, twin):
+                assert _outcome(compressor.compress, value) is error
+                assert _outcome(compressor.compress_many, [good, value]) is error
+        psi_cases = [CompressedElement(p - 1, 0), CompressedElement(p - 2, 5)]
+        for pair in psi_cases:
+            for compressor in (plain, twin):
+                assert _outcome(compressor.decompress, pair) is CompressionError
+                assert _outcome(
+                    compressor.decompress_many, [plain.compress(good), pair]
+                ) is CompressionError
