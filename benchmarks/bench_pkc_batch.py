@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import pathlib
 import random
+import statistics
 
 # bench_path is aliased so pytest's python_functions = bench_* rule does not
 # collect the imported library helper as a benchmark.
@@ -35,6 +36,10 @@ BATCH_SCHEMES = ("ceilidh-170", "xtr-170", "ecdh-p160", "rsa-1024")
 
 #: Throughput tolerance of the baseline gate (fraction below baseline).
 BASELINE_TOLERANCE = 0.2
+
+#: Runs per cell of a full-size baseline; the median one is recorded (odd,
+#: so it is a real run with its own tallies).
+BASELINE_SAMPLES = 15
 
 #: Non-default backends whose serving throughput gets its own BENCH rows.
 EXTRA_BACKENDS = ("montgomery",)
@@ -154,43 +159,61 @@ def bench_perf_tracking(record_table, record_perf, platform, quick):
     >20% regression when ``REPRO_BENCH_ENFORCE`` is set (the CI smoke job
     sets it together with ``REPRO_BENCH_CALIBRATE`` to cancel machine-speed
     differences); otherwise regressions are only reported.
+
+    A full-size run records each cell's median run of
+    :data:`BASELINE_SAMPLES`, with the sample count and the interquartile
+    range of its throughput in ``meta``, so the committed baseline is one
+    command's output with its spread beside it.  Its samples go round the
+    cells, so each cell's median spans the whole run rather than the one
+    stretch of host speed its consecutive runs would fall in.
     """
     # Quick mode shrinks the batch, so noise per timed region grows: take
     # the best of three runs per cell (standard minimum-of-N timing) to
     # keep the enforced gate from flagging scheduler jitter as regression.
     sessions = 4 if quick else 16
-    repeats = 3 if quick else 1
+    repeats = 3 if quick else BASELINE_SAMPLES
     rng = random.Random(34)
+    # The unsuffixed BENCH keys are the *plain* baseline by contract; pin
+    # the backend so an env-steered run (REPRO_FIELD_BACKEND=...) cannot
+    # time another substrate into them or trip the gate.
+    cells = [
+        (scheme, operation)
+        for scheme in (get_scheme(name, backend="plain") for name in BATCH_SCHEMES)
+        for operation in sorted(BATCH_OPERATIONS)
+        if BATCH_OPERATIONS[operation] in scheme.capabilities
+    ]
+    order = (
+        [cell for cell in cells for _ in range(repeats)] if quick
+        else [cell for _ in range(repeats) for cell in cells]
+    )
+    samples = {cell: [] for cell in cells}
+    for scheme, operation in order:
+        samples[scheme, operation].append(run_batch(scheme, operation, sessions, rng=rng))
     current = {}
     rows = []
-    for name in BATCH_SCHEMES:
-        # The unsuffixed BENCH keys are the *plain* baseline by contract;
-        # pin the backend so an env-steered run (REPRO_FIELD_BACKEND=...)
-        # cannot time another substrate into them or trip the gate.
-        scheme = get_scheme(name, backend="plain")
-        for operation in sorted(BATCH_OPERATIONS):
-            if BATCH_OPERATIONS[operation] not in scheme.capabilities:
-                continue
-            result = min(
-                (run_batch(scheme, operation, sessions, rng=rng) for _ in range(repeats)),
-                key=lambda r: r.wall_seconds,
+    for (scheme, operation), runs in samples.items():
+        runs.sort(key=lambda r: r.wall_seconds)
+        spread = {}
+        if not quick:
+            q1, _, q3 = statistics.quantiles([r.sessions_per_second for r in runs], n=4)
+            spread = {"samples": repeats, "ops_per_second_iqr": q3 - q1}
+        record = record_from_batch(
+            runs[0 if quick else repeats // 2], scheme=scheme, platform=platform,
+            quick=quick, sessions=sessions, **spread,
+        )
+        record_perf(record)
+        current[record.key] = record
+        rows.append(
+            (
+                record.scheme,
+                record.operation,
+                record.sessions,
+                round(record.ops_per_second, 1),
+                round(record.ms_per_op, 2),
+                record.squarings + record.multiplications,
+                record.projected_cycles,
             )
-            record = record_from_batch(
-                result, scheme=scheme, platform=platform, quick=quick, sessions=sessions
-            )
-            record_perf(record)
-            current[record.key] = record
-            rows.append(
-                (
-                    record.scheme,
-                    record.operation,
-                    record.sessions,
-                    round(record.ops_per_second, 1),
-                    round(record.ms_per_op, 2),
-                    record.squarings + record.multiplications,
-                    record.projected_cycles,
-                )
-            )
+        )
     record_table(
         "perf_tracking",
         ["scheme", "operation", "sessions", "ops/s", "ms/op", "group ops",
