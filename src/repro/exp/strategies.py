@@ -471,8 +471,9 @@ def exp_fixed_base(
 
 
 #: Width of a table kept for the life of its base (the generator tables):
-#: each power then costs ~n/4 * 15/16 products, and the build of 8 entries
-#: per 4 exponent bits costs about what one power per bit did.
+#: each power then costs ~n/4 * 15/16 products.  The build, 8 entries per 4
+#: bits of rows, matches one power per exponent bit on the torus (whose rows
+#: cover only bits(p)) and doubles it on a curve; it is paid once.
 CACHED_TABLE_WIDTH = 4
 
 #: Widest window :func:`fixed_base_width` considers for a batch.
@@ -539,10 +540,11 @@ def fixed_base_width(group: Group, exponent_bits: int, uses: Optional[int] = Non
     if uses is None:
         return CACHED_TABLE_WIDTH
     rows_bits = _table_bits(group, exponent_bits)
+    powers = uses
 
     def cost(width: int) -> float:
         rows = -(-rows_bits // width) + 1
-        return (rows << (width - 1)) + uses * _products_per_power(width, exponent_bits)
+        return (rows << (width - 1)) + powers * _products_per_power(width, exponent_bits)
 
     return min(range(1, _MAX_TABLE_WIDTH + 1), key=cost)
 
