@@ -41,6 +41,12 @@ BASELINE_TOLERANCE = 0.2
 #: so it is a real run with its own tallies).
 BASELINE_SAMPLES = 15
 
+#: Sessions per timed batch of ``bench_perf_tracking``, quick or full: CI
+#: gates a quick run against the committed full-size rows, and a speed-up
+#: that grows with batch size (the shared-base tables) would read as a
+#: regression if the two batches differed in size.
+PERF_TRACKING_SESSIONS = 16
+
 #: Non-default backends whose serving throughput gets its own BENCH rows.
 EXTRA_BACKENDS = ("montgomery",)
 
@@ -167,10 +173,10 @@ def bench_perf_tracking(record_table, record_perf, platform, quick):
     cells, so each cell's median spans the whole run rather than the one
     stretch of host speed its consecutive runs would fall in.
     """
-    # Quick mode shrinks the batch, so noise per timed region grows: take
-    # the best of three runs per cell (standard minimum-of-N timing) to
-    # keep the enforced gate from flagging scheduler jitter as regression.
-    sessions = 4 if quick else 16
+    # Quick mode takes the best of three runs per cell (standard
+    # minimum-of-N timing) to keep the enforced gate from flagging
+    # scheduler jitter as regression.
+    sessions = PERF_TRACKING_SESSIONS
     repeats = 3 if quick else BASELINE_SAMPLES
     rng = random.Random(34)
     # The unsuffixed BENCH keys are the *plain* baseline by contract; pin

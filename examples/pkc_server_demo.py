@@ -1,7 +1,7 @@
 """Serving demo: one async PKC server, many concurrent clients, live stats.
 
-Boots a :class:`repro.serve.server.ServeServer` in-process (thread pool,
-bounded queue), then drives it with concurrent clients across three of the
+Boots a :class:`repro.serve.server.ServeServer` in-process (one crypto
+thread behind a bounded admission count), then drives it with concurrent clients across three of the
 paper's cryptosystems — CEILIDH key agreement, ECDH key agreement and
 RSA-1024 hybrid decryption — the online version of the Table 3 comparison.
 Each client performs the full client half locally (ephemeral keygen,
@@ -10,8 +10,8 @@ completed session is a verified protocol round trip.
 
 Afterwards the server's scheduler statistics show the serving story: how
 many requests merged into each same-scheme batch, and the batched
-server-side throughput per scheme (requests per second of worker-pool busy
-time) with per-request latency percentiles from the clients' side.
+server-side throughput per scheme (requests per second of crypto-thread
+busy time) with per-request latency percentiles from the clients' side.
 
 Run:  python examples/pkc_server_demo.py
 """
@@ -38,8 +38,7 @@ async def demo() -> None:
     server = ServeServer(max_batch=16, queue_size=128)
     host, port = await server.start()
     print(f"server listening on {host}:{port} "
-          f"[{server.scheme_host.backend} backend, thread pool "
-          f"x{server.scheduler.workers}]")
+          f"[{server.scheme_host.backend} backend, one crypto thread]")
     print(f"driving {CLIENTS} concurrent clients x {SESSIONS_PER_CLIENT} "
           f"sessions per scheme\n")
     try:
@@ -61,7 +60,7 @@ async def demo() -> None:
                   f"{entry.rate(report.wall_seconds):>8.1f} "
                   f"{digest['p50_ms']:>8.2f} {digest['p99_ms']:>8.2f}")
 
-    print("\nserver-side batching (same-scheme requests merged per executor call):")
+    print("\nserver-side batching (same-scheme requests merged per crypto-thread batch):")
     for (scheme_name, kind), group in sorted(server.scheduler.stats.groups.items()):
         print(f"  {scheme_name:12} {kind:14} {group.served:>4} requests in "
               f"{group.batches:>3} batches (largest {group.largest_batch}), "

@@ -10,9 +10,9 @@ registry → **serve**): everything the offline harness measures with
 * :mod:`repro.serve.session` — per-connection state plus the canonical
   per-session protocol logic, shared verbatim with the offline harness
   (``repro.pkc.bench`` runs the same session functions);
-* :mod:`repro.serve.scheduler` — a bounded request queue with explicit
-  backpressure, same-scheme batching (the amortisation story, online) and a
-  thread pool for the CPU-bound group arithmetic;
+* :mod:`repro.serve.scheduler` — admission bounded by ``queue_size`` with
+  explicit backpressure, same-scheme batching (the amortisation story,
+  online) and one crypto thread for the CPU-bound group arithmetic;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio TCP
   server and the verifying client (one connection, full sessions);
 * ``python -m repro.serve serve|cluster|load`` — run a server or cluster,
@@ -29,7 +29,6 @@ from repro.serve.protocol import (
     MAX_FRAME_PAYLOAD,
     PROTOCOL_VERSION,
     Frame,
-    FrameDecoder,
     encode_frame,
     read_frame,
     write_frame,
@@ -44,7 +43,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_PAYLOAD",
     "Frame",
-    "FrameDecoder",
     "encode_frame",
     "read_frame",
     "write_frame",

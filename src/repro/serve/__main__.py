@@ -3,8 +3,8 @@
 Three subcommands:
 
 * ``serve`` — bind a :class:`~repro.serve.server.ServeServer` and run until
-  interrupted; its batches run on a thread pool of ``--workers`` threads.
-  For more than one core, use ``cluster``.
+  interrupted; its batches run on one crypto thread.  For more than one
+  core, use ``cluster``.
 
 * ``cluster`` — run a :class:`~repro.serve.cluster.ClusterSupervisor`:
   ``--workers N`` independent server processes sharing one port through
@@ -68,13 +68,11 @@ CHANNEL_ROWS = {CHANNEL_OPEN: "open", CHANNEL_MESSAGE: "message"}
 def _add_server_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
                         help="field backend (default: $REPRO_FIELD_BACKEND or plain)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="thread pool size for the group arithmetic "
-                             "(default: min(4, cores))")
     parser.add_argument("--max-batch", type=int, default=32,
-                        help="largest same-scheme batch one worker executes")
+                        help="largest same-scheme batch the crypto thread executes")
     parser.add_argument("--queue-size", type=int, default=256,
-                        help="bounded request queue; overflow answers OP_OVERLOADED")
+                        help="accepted requests that may await an answer; "
+                             "past it a request is answered OP_OVERLOADED")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,12 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated allowlist (default: whole registry)")
     cluster.add_argument("--backend", default=None,
                          help="field backend (default: $REPRO_FIELD_BACKEND or plain)")
-    cluster.add_argument("--pool-workers", type=int, default=None,
-                         help="per-worker thread pool size (default: min(4, cores))")
     cluster.add_argument("--max-batch", type=int, default=32,
-                         help="largest same-scheme batch one worker executes")
+                         help="largest same-scheme batch a worker's crypto "
+                              "thread executes")
     cluster.add_argument("--queue-size", type=int, default=256,
-                         help="bounded request queue; overflow answers OP_OVERLOADED")
+                         help="accepted requests per worker that may await an "
+                              "answer; past it a request is answered OP_OVERLOADED")
 
     load = commands.add_parser("load", help="drive a server with concurrent clients")
     load.add_argument("--connect", default=None, metavar="HOST:PORT",
@@ -359,7 +357,6 @@ async def _run_load_command(args) -> int:
                 workers=workers,
                 schemes=schemes,
                 backend=args.backend,
-                pool_workers=args.workers,
                 max_batch=args.max_batch,
                 queue_size=args.queue_size,
             )
@@ -372,7 +369,6 @@ async def _run_load_command(args) -> int:
         else:
             server = ServeServer(
                 backend=args.backend,
-                workers=args.workers,
                 max_batch=args.max_batch,
                 queue_size=args.queue_size,
             )
@@ -428,8 +424,8 @@ async def _run_load_command(args) -> int:
         group = server.scheduler.stats.group(BASELINE_SCHEME, BASELINE_OPERATION)
         served_rate = group.served_per_second
         roundtrip_rate = report.entries[baseline].rate(report.wall_seconds)
-        # The gated quantity: requests the worker pool completed per
-        # second of executor busy time.  One server-side request is half
+        # The gated quantity: requests the crypto thread completed per
+        # second of its busy time.  One server-side request is half
         # an offline session's derivations, so parity with the offline
         # sessions/s is the conservative floor, not the ceiling.
         ratio = served_rate / offline if offline > 0 else float("inf")
@@ -462,7 +458,6 @@ async def _run_cluster_command(args) -> int:
         port=args.port,
         schemes=schemes,
         backend=args.backend,
-        pool_workers=args.pool_workers,
         max_batch=args.max_batch,
         queue_size=args.queue_size,
     )
@@ -503,15 +498,14 @@ async def _run_serve_command(args) -> int:
         port=args.port,
         schemes=schemes,
         backend=args.backend,
-        workers=args.workers,
         max_batch=args.max_batch,
         queue_size=args.queue_size,
     )
     address = await server.start()
     names = ", ".join(server.scheme_host.scheme_names())
     print(f"repro.serve listening on {address[0]}:{address[1]} "
-          f"[{server.scheme_host.backend} backend, thread "
-          f"pool x{server.scheduler.workers}] serving: {names}")
+          f"[{server.scheme_host.backend} backend, one crypto thread] "
+          f"serving: {names}")
     try:
         await server.serve_forever()
     except (KeyboardInterrupt, asyncio.CancelledError):

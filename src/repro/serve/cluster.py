@@ -1,9 +1,10 @@
 """Multi-process cluster serving: N workers, one port, one server identity.
 
-The single-process server scales until the GIL caps its thread pool.  The
-cluster takes the other axis: **N independent worker processes**, each a
-complete :class:`~repro.serve.server.ServeServer` with its own event loop,
-scheduler and pool, sharing one public listen port.
+One server process is one core: its crypto thread and its event loop share
+the interpreter lock.  The cluster takes the other axis: **N independent
+worker processes**, each a complete :class:`~repro.serve.server.ServeServer`
+with its own event loop, scheduler and crypto thread, sharing one public
+listen port.
 
 Every worker binds the same port with ``SO_REUSEPORT`` and the kernel
 balances *connections* across the listeners, so no code runs in the data
@@ -30,8 +31,8 @@ Lifecycle, run by :class:`ClusterSupervisor`:
   for each replacement to report ready, so the port never stops serving.
 
 Workers are daemonic processes, so a dying supervisor can never leak them;
-each runs its batches on a thread pool, and the workers themselves are the
-process-level parallelism.
+each runs its batches on one crypto thread, and the workers themselves are
+the process-level parallelism.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class WorkerSpec:
     port: int
     schemes: Optional[Tuple[str, ...]]
     backend: Optional[str]
-    pool_workers: Optional[int]
     max_batch: int
     queue_size: int
     #: scheme name -> SchemeKeyPair, generated once by the supervisor so
@@ -84,7 +84,6 @@ async def _worker_serve(spec: WorkerSpec, events) -> None:
         port=spec.port,
         schemes=spec.schemes,
         backend=spec.backend,
-        workers=spec.pool_workers,
         max_batch=spec.max_batch,
         queue_size=spec.queue_size,
         reuse_port=True,
@@ -156,7 +155,6 @@ class ClusterSupervisor:
         port: int = 0,
         schemes: Optional[Sequence[str]] = None,
         backend: Optional[str] = None,
-        pool_workers: Optional[int] = None,
         max_batch: int = 32,
         queue_size: int = 256,
         rng=None,
@@ -184,7 +182,6 @@ class ClusterSupervisor:
         self.bind_port = port
         self.schemes = tuple(schemes) if schemes is not None else None
         self.backend = backend
-        self.pool_workers = pool_workers
         self.max_batch = max_batch
         self.queue_size = queue_size
         self._rng = rng
@@ -350,7 +347,6 @@ class ClusterSupervisor:
             port=self.bind_port,
             schemes=self.schemes,
             backend=self.backend,
-            pool_workers=self.pool_workers,
             max_batch=self.max_batch,
             queue_size=self.queue_size,
             preset_keys=self.preset_keys,

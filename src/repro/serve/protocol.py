@@ -26,10 +26,10 @@ confirms a key agreement with :func:`confirmation_tag` (a hash of the
 shared secret) and a decryption with :func:`plaintext_digest`, which the
 client recomputes locally.
 
-Framing is **sans-IO**: :class:`FrameDecoder` consumes raw bytes and yields
-:class:`Frame` objects, so the edge cases (truncation, oversized lengths)
-are testable without sockets; :func:`read_frame` is the thin asyncio
-binding used by the server and client.
+The server and client read frames with :func:`read_frame` on an
+``asyncio.StreamReader``, and its edge cases (truncation, oversized
+lengths, arbitrary chunking) are tested without sockets by feeding a
+reader directly.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ProtocolError
 
@@ -48,7 +48,6 @@ __all__ = [
     "MAX_FRAME_PAYLOAD",
     "HEADER",
     "Frame",
-    "FrameDecoder",
     "encode_frame",
     "read_frame",
     "write_frame",
@@ -240,47 +239,6 @@ def encode_frame(
             f"payload of {len(payload)} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
         )
     return HEADER.pack(len(payload) + 2, version, opcode) + payload
-
-
-class FrameDecoder:
-    """Incremental sans-IO frame decoder.
-
-    Feed it raw bytes in any chunking; it yields every complete frame and
-    buffers the remainder.  An advertised length above the payload cap (or
-    below the 2-byte minimum) raises :class:`~repro.errors.ProtocolError`
-    immediately — the connection is unrecoverable past a framing error, so
-    the decoder refuses further input afterwards.
-    """
-
-    def __init__(self, max_payload: int = MAX_FRAME_PAYLOAD):
-        self.max_payload = max_payload
-        self._buffer = bytearray()
-        self._dead = False
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> List[Frame]:
-        """Consume ``data``; return every frame it completed."""
-        if self._dead:
-            raise ProtocolError("decoder is dead after a framing error")
-        self._buffer.extend(data)
-        frames: List[Frame] = []
-        while len(self._buffer) >= HEADER.size:
-            length, version, opcode = HEADER.unpack_from(self._buffer)
-            if length < 2 or length - 2 > self.max_payload:
-                self._dead = True
-                raise ProtocolError(
-                    f"frame length {length} outside [2, {self.max_payload + 2}]"
-                )
-            if len(self._buffer) - 4 < length:
-                break
-            payload = bytes(self._buffer[HEADER.size : 4 + length])
-            del self._buffer[: 4 + length]
-            frames.append(Frame(version, opcode, payload))
-        return frames
 
 
 async def read_frame(

@@ -1,27 +1,30 @@
-"""The request scheduler: bounded queue, same-scheme batching, worker pool.
+"""The request scheduler: bounded admission, same-scheme batching, one crypto thread.
 
 The server's event loop must never run group arithmetic — a single 1024-bit
 RSA decryption would stall every connection for tens of milliseconds.  The
 scheduler is the boundary: connection handlers :meth:`~BatchScheduler.submit`
-decoded requests into one **bounded** queue (a full queue raises
-:class:`~repro.errors.OverloadedError` immediately — explicit backpressure,
-never unbounded buffering), and a dispatcher drains the queue in rounds,
-groups what it drained by ``(scheme, backend, kind)`` and ships each group
-to a worker pool as **one batch**.
+decoded requests, and admission counts every accepted request that has no
+answer yet — queued or executing — against ``queue_size``.  Past that count
+``submit`` raises :class:`~repro.errors.OverloadedError` at once (the server
+answers ``OP_OVERLOADED``), so the backlog, and with it the wait of every
+accepted request, is bounded by ``queue_size`` service times: explicit
+backpressure, never unbounded buffering.
 
-Batching is where the offline harness's amortisation argument carries over
-to the online path: a batch executes as a single loop of
+Accepted requests go through one ``queue.SimpleQueue`` to one long-lived
+crypto thread.  It drains whatever is pending, groups it by ``(scheme,
+kind)`` into batches of at most ``max_batch`` and hands each batch's
+results back to the loop with one ``call_soon_threadsafe``.  Batching is
+where the offline harness's amortisation argument carries over to the
+online path: a batch executes as a single loop of
 :func:`repro.serve.session.serve_request` calls over one warm scheme
 instance, so the fixed-base generator tables and the long-lived server key
-are touched exactly as in ``run_batch`` — per-request cost approaches the
-offline steady state as batches fill.  A per-group lock keeps two batches
-of the same group from running concurrently (scheme instances cache state
-and are not reentrant); *different* schemes run in parallel across the
-pool.
+are touched exactly as in ``run_batch``.  One thread also means no two
+batches ever touch a scheme instance (which caches state and is not
+reentrant) at once, with no lock to say so.
 
-Batches run on a thread pool, which shares the registry's warm instances
-with no serialisation cost; multi-core serving is the cluster's job
-(:mod:`repro.serve.cluster`).  The pool respects the field backend the
+Under the interpreter lock a second crypto thread would add no CPU, only
+hand-offs; multi-core serving is the cluster's job
+(:mod:`repro.serve.cluster`).  The thread respects the field backend the
 host was built with, so ``REPRO_FIELD_BACKEND=montgomery`` steers the
 online path onto the resident-Montgomery substrate like every other layer.
 """
@@ -29,8 +32,7 @@ online path onto the resident-Montgomery substrate like every other layer.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import os
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -85,8 +87,8 @@ class SchemeHost:
         # valid cached public key.
         self._keys: Dict[str, Any] = dict(preset_keys) if preset_keys else {}
         # Key creation is locked *per scheme*: a slow first keygen (RSA's
-        # lazy key material) must never block another scheme's cached-key
-        # lookup — the event loop touches this from _run_batch.
+        # lazy key material) in a HELLO must never block another scheme's
+        # cached-key lookup on the crypto thread.
         self._scheme_locks: Dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
 
@@ -193,7 +195,7 @@ class GroupStats:
     #: Batches that executed on the coalesced path (shared batch inversion
     #: per group round) rather than the per-item loop.
     coalesced: int = 0
-    #: Executor-side wall seconds actually spent executing this group's
+    #: Crypto-thread wall seconds actually spent executing this group's
     #: batches — the denominator of the batched server-side throughput.
     busy_seconds: float = 0.0
     largest_batch: int = 0
@@ -223,20 +225,17 @@ class SchedulerStats:
         return self.groups.setdefault((scheme_name, kind), GroupStats())
 
 
-@dataclass
-class _WorkItem:
-    group: Tuple[str, str]  # (scheme name, kind); the backend is host-wide
-    payload: bytes
-    future: "asyncio.Future"
+#: One accepted request on its way to the crypto thread:
+#: ``(scheme name, kind, payload, future)``; ``None`` asks the thread to exit.
+_Request = Tuple[str, str, bytes, "asyncio.Future"]
 
 
 class BatchScheduler:
-    """Bounded-queue batching dispatcher over a thread pool."""
+    """Admission-bounded batching in front of one crypto thread."""
 
     def __init__(
         self,
         host: SchemeHost,
-        workers: Optional[int] = None,
         max_batch: int = 32,
         queue_size: int = 256,
     ):
@@ -245,171 +244,155 @@ class BatchScheduler:
         if queue_size < 1:
             raise ParameterError("queue_size must be at least 1")
         self.host = host
-        self.workers = workers or min(4, os.cpu_count() or 1)
         self.max_batch = max_batch
         self.queue_size = queue_size
         self.stats = SchedulerStats()
         self._draining = False
-        self._queue: "Optional[asyncio.Queue[_WorkItem]]" = None
-        self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._dispatcher: Optional["asyncio.Task"] = None
-        # Keyed by scheme name, not (scheme, kind): a scheme instance caches
-        # state (lazy generator tables, Montgomery domains) and is not
-        # guaranteed reentrant, so no two batches touching the same instance
-        # may execute concurrently — whatever their kinds.
-        self._scheme_batch_locks: Dict[str, "asyncio.Lock"] = {}
-        self._group_tasks: set = set()
+        #: Accepted requests not yet answered; admission bounds this count.
+        self._pending = 0
+        self._requests: "Optional[queue.SimpleQueue[Optional[_Request]]]" = None
+        self._thread: Optional[threading.Thread] = None
 
     async def start(self) -> None:
-        if self._dispatcher is not None:
+        if self._thread is not None:
             raise ParameterError("scheduler already started")
         self._draining = False
-        self._queue = asyncio.Queue(maxsize=self.queue_size)
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
+        self._requests = queue.SimpleQueue()
+        # Daemonic so a process that never stops the scheduler can still
+        # exit; stop() joins it.
+        self._thread = threading.Thread(
+            target=self._crypto_loop,
+            args=(self._requests, asyncio.get_running_loop()),
+            name="repro-serve-crypto",
+            daemon=True,
         )
-        self._dispatcher = asyncio.get_running_loop().create_task(self._dispatch_loop())
+        self._thread.start()
 
     async def stop(self, drain: bool = False) -> None:
-        """Stop the scheduler; with ``drain=True``, answer everything first.
+        """Stop the scheduler and join its thread; with ``drain=True``,
+        answer everything first.
 
-        A plain stop cancels whatever is still queued — acceptable only
-        when the connection handlers awaiting those futures are being torn
-        down in the same breath.  A *graceful drain* instead refuses new
-        submissions (:class:`~repro.errors.UnavailableError`) and waits for
-        every already-enqueued request to execute and resolve its future,
-        so no accepted request ever dies with a silently closed connection.
+        A plain stop cancels every accepted request the crypto thread has
+        not drained yet — acceptable only when the connection handlers
+        awaiting those futures are being torn down in the same breath.  A
+        *graceful drain* instead refuses new submissions
+        (:class:`~repro.errors.UnavailableError`) and waits for every
+        accepted request to execute and resolve its future, so no accepted
+        request ever dies with a silently closed connection.
         """
-        if drain and self._queue is not None:
+        if drain and self._thread is not None:
             self._draining = True
-            # Every accepted item ends in ``served`` or ``errors`` (rejected
-            # submissions never increment ``submitted``), so the pending
-            # count is exact and race-free — the dispatcher never parks
-            # drained items anywhere the counters cannot see.
-            while self.stats.submitted > self.stats.served + self.stats.errors:
+            while self._pending:
                 await asyncio.sleep(0.005)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
-        if self._group_tasks:
-            await asyncio.gather(*self._group_tasks, return_exceptions=True)
-        if self._queue is not None:
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
-                # Cancel, don't set_exception: the awaiting connection
-                # handlers are already gone at shutdown, and a cancelled
-                # future never logs "exception was never retrieved".
-                item.future.cancel()
-            self._queue = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        thread, requests = self._thread, self._requests
+        if thread is None or requests is None:
+            return
+        self._thread = self._requests = None
+        requests.put(None)  # last in: submit() refuses from here on
+        await asyncio.get_running_loop().run_in_executor(None, thread.join)
 
     async def submit(
         self, scheme_name: str, kind: str, payload: bytes
     ) -> _BatchItemResult:
-        """Queue one request; await its result.
+        """Admit one request; await its result.
 
-        Raises :class:`~repro.errors.OverloadedError` *immediately* when the
-        bounded queue is full — the connection handler turns that into an
-        ``OP_OVERLOADED`` frame so the client sees explicit backpressure
-        rather than unbounded latency — and
-        :class:`~repro.errors.UnavailableError` once a graceful drain has
-        begun (answered as an explicit ``ERR_UNAVAILABLE`` error frame, so
-        the peer reconnects to a live worker instead of waiting).
+        Raises :class:`~repro.errors.OverloadedError` *immediately* when
+        ``queue_size`` accepted requests are still unanswered — the
+        connection handler turns that into an ``OP_OVERLOADED`` frame so the
+        client sees explicit backpressure rather than unbounded latency —
+        and :class:`~repro.errors.UnavailableError` once a graceful drain
+        has begun (answered as an explicit ``ERR_UNAVAILABLE`` error frame,
+        so the peer reconnects to a live worker instead of waiting).
         """
         if self._draining:
             raise UnavailableError("scheduler is draining; reconnect elsewhere")
-        if self._queue is None:
+        if self._requests is None:
             raise ParameterError("scheduler is not running")
-        item = _WorkItem(
-            group=(scheme_name, kind),
-            payload=payload,
-            future=asyncio.get_running_loop().create_future(),
-        )
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
+        if self._pending >= self.queue_size:
             self.stats.rejected += 1
             raise OverloadedError(
-                f"request queue full ({self.queue_size} pending)"
-            ) from None
+                f"{self._pending} requests pending (limit {self.queue_size})"
+            )
+        future = asyncio.get_running_loop().create_future()
+        self._pending += 1
         self.stats.submitted += 1
-        return await item.future
+        self._requests.put((scheme_name, kind, payload, future))
+        return await future
 
-    # -- dispatch ---------------------------------------------------------------
+    # -- the crypto thread --------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        """Drain the queue in rounds; group and ship each round's requests."""
-        assert self._queue is not None
-        while True:
-            first = await self._queue.get()
-            round_items = [first]
-            while len(round_items) < self.queue_size:
-                try:
-                    round_items.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            grouped: Dict[Tuple[str, str], List[_WorkItem]] = {}
-            for item in round_items:
-                grouped.setdefault(item.group, []).append(item)
-            for group, items in grouped.items():
-                # Batches honour max_batch; groups run as independent tasks
-                # so one slow scheme never serialises the others.
-                for start in range(0, len(items), self.max_batch):
-                    batch = items[start : start + self.max_batch]
-                    task = asyncio.get_running_loop().create_task(
-                        self._run_batch(group, batch)
-                    )
-                    self._group_tasks.add(task)
-                    task.add_done_callback(self._group_tasks.discard)
-
-    async def _run_batch(
-        self, group: Tuple[str, str], items: List[_WorkItem]
+    def _crypto_loop(
+        self, requests: "queue.SimpleQueue[Optional[_Request]]", loop
     ) -> None:
-        scheme_name, kind = group
-        lock = self._scheme_batch_locks.setdefault(scheme_name, asyncio.Lock())
-        async with lock:  # same-scheme batches never run concurrently
-            try:
-                loop = asyncio.get_running_loop()
-                # The key already exists (HELLO created it before any request
-                # could be submitted), so these are cached lookups, and the
-                # per-scheme creation lock means they can never stall the
-                # event loop behind another scheme's slow first keygen.
-                scheme = self.host.scheme(scheme_name)
-                server_key = self.host.server_key(scheme_name)  # audit: allow[RC204] memoized after HELLO; steady state is a dict hit under a lock
-                results, busy, coalesced = await loop.run_in_executor(
-                    self._executor,
-                    _execute_batch,
-                    scheme,
-                    server_key,
-                    kind,
-                    [item.payload for item in items],
-                )
-            except Exception as exc:  # noqa: BLE001 - fan the failure out
-                code, detail = classify_error(exc)
-                for item in items:
-                    if not item.future.done():
-                        item.future.set_result((False, code, detail.encode("utf-8")))
-                stats = self.stats.group(scheme_name, kind)
-                stats.errors += len(items)
-                self.stats.errors += len(items)
+        """Drain, group by ``(scheme, kind)``, execute, hand results back."""
+        while True:
+            drained: List[Any] = [requests.get()]  # _Request items, or None
+            while True:
+                try:
+                    drained.append(requests.get_nowait())
+                except queue.Empty:
+                    break
+            if drained[-1] is None:  # stop(): nothing was queued after it
+                loop.call_soon_threadsafe(self._cancel, drained[:-1])
                 return
+            groups: Dict[Tuple[str, str], List[_Request]] = {}
+            for request in drained:
+                groups.setdefault(request[:2], []).append(request)
+            for (scheme_name, kind), requests_in_group in groups.items():
+                for start in range(0, len(requests_in_group), self.max_batch):
+                    batch = requests_in_group[start : start + self.max_batch]
+                    outcome = self._execute(scheme_name, kind, batch)
+                    loop.call_soon_threadsafe(
+                        self._answer, scheme_name, kind, batch, *outcome
+                    )
+
+    def _execute(
+        self, scheme_name: str, kind: str, batch: List[_Request]
+    ) -> Tuple[List[_BatchItemResult], float, bool]:
+        try:
+            # HELLO created the key before any request could be submitted,
+            # so both lookups are cached.
+            scheme = self.host.scheme(scheme_name)
+            server_key = self.host.server_key(scheme_name)
+            return _execute_batch(
+                scheme, server_key, kind, [request[2] for request in batch]
+            )
+        except Exception as exc:  # noqa: BLE001 - fan the failure out
+            code, detail = classify_error(exc)
+            return [(False, code, detail.encode("utf-8"))] * len(batch), 0.0, False
+
+    # -- back on the event loop ---------------------------------------------------
+
+    def _answer(
+        self,
+        scheme_name: str,
+        kind: str,
+        batch: List[_Request],
+        results: List[_BatchItemResult],
+        busy: float,
+        coalesced: bool,
+    ) -> None:
+        self._pending -= len(batch)
         stats = self.stats.group(scheme_name, kind)
         stats.batches += 1
         stats.coalesced += 1 if coalesced else 0
         stats.busy_seconds += busy
-        stats.largest_batch = max(stats.largest_batch, len(items))
+        stats.largest_batch = max(stats.largest_batch, len(batch))
         self.stats.batches += 1
-        for item, result in zip(items, results):
+        for request, result in zip(batch, results):
             ok = result[0]
             stats.served += 1 if ok else 0
             stats.errors += 0 if ok else 1
             self.stats.served += 1 if ok else 0
             self.stats.errors += 0 if ok else 1
-            if not item.future.done():
-                item.future.set_result(result)
+            future = request[3]
+            if not future.done():  # its submitter may have been cancelled
+                future.set_result(result)
+
+    def _cancel(self, requests: List[_Request]) -> None:
+        self._pending -= len(requests)
+        for request in requests:
+            # Cancel, don't set_exception: the awaiting connection handlers
+            # are already gone at shutdown, and a cancelled future never
+            # logs "exception was never retrieved".
+            request[3].cancel()

@@ -1,14 +1,15 @@
-"""The asyncio TCP server: connections in the loop, arithmetic in the pool.
+"""The asyncio TCP server: connections in the loop, arithmetic on one crypto thread.
 
 One :class:`ServeServer` binds a host/port, accepts any number of
 connections, and keeps a :class:`~repro.serve.session.ConnectionSession`
 per connection.  The handler is IO-only: it reads frames, enforces the
 handshake state machine (version check → ``HELLO`` negotiation → operation
 requests), checks the negotiated scheme's capabilities, and submits every
-operation to the shared :class:`~repro.serve.scheduler.BatchScheduler` —
-requests from *different connections* to the same scheme therefore merge
-into the same server-side batches, which is the whole point of terminating
-many small clients on one process.
+operation to the shared :class:`~repro.serve.scheduler.BatchScheduler`,
+whose one crypto thread runs all group arithmetic — requests from
+*different connections* to the same scheme therefore merge into the same
+server-side batches, which is the whole point of terminating many small
+clients on one process.
 
 Error discipline, per connection:
 
@@ -17,8 +18,10 @@ Error discipline, per connection:
   that connection; the server and every other connection keep running;
 * an **application error** (unknown scheme, missing capability, malformed
   scheme payload) answers with ``OP_ERROR`` and keeps the connection open;
-* a **full queue** answers with ``OP_OVERLOADED`` — the bounded-queue
-  backpressure made visible to the peer.
+* a request arriving while ``queue_size`` accepted requests are still
+  unanswered gets ``OP_OVERLOADED`` at once — the admission bound made
+  visible to the peer, so no accepted request waits behind more than
+  ``queue_size`` others.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ class ServeServer:
         port: int = 0,
         schemes: Optional[Sequence[str]] = None,
         backend: Optional[str] = None,
-        workers: Optional[int] = None,
         max_batch: int = 32,
         queue_size: int = 256,
         rng=None,
@@ -110,10 +112,7 @@ class ServeServer:
             schemes=schemes, backend=backend, rng=rng, preset_keys=preset_keys
         )
         self.scheduler = BatchScheduler(
-            self.scheme_host,
-            workers=workers,
-            max_batch=max_batch,
-            queue_size=queue_size,
+            self.scheme_host, max_batch=max_batch, queue_size=queue_size
         )
         #: Seconds a connection may sit without a frame before the server
         #: answers an explicit ``ERR_IDLE_TIMEOUT`` and closes it — without
@@ -369,7 +368,7 @@ class ServeServer:
             return True  # the peer may retry with a served scheme
         # The long-lived key may not exist yet; creating it is the one
         # potentially slow step of the handshake (e.g. lazy RSA keygen), so
-        # it runs in the pool, not on the loop.
+        # it runs in the loop's default executor, not on the loop.
         try:
             key = await asyncio.get_running_loop().run_in_executor(
                 None, self.scheme_host.server_key, name

@@ -118,7 +118,7 @@ def serve_request(
     """Execute one server-side request; return the response ``(opcode, payload)``.
 
     Pure and synchronous — this is the unit of CPU-bound work the scheduler
-    ships to its executor, and the only place the wire kinds touch the
+    runs on its crypto thread, and the only place the wire kinds touch the
     scheme API.  Malformed payloads surface as the scheme's own exceptions
     (``ParameterError``, ``DecryptionError``...), which the caller maps to
     an error frame; ``verify`` keeps its report-``False``-never-raise

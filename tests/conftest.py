@@ -7,6 +7,7 @@ their own throwaway instances at toy sizes.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.ecc.curves import generate_toy_curve
 from repro.field.fp import PrimeField
 from repro.field.fp6 import make_fp6
+from repro.serve.protocol import read_frame
 from repro.soc.system import Platform, PlatformConfig
 from repro.torus.params import get_parameters
 from repro.torus.t6 import T6Group
@@ -86,6 +88,32 @@ def platform():
 def small_platform():
     """A platform with a small word size for fast cycle-accurate runs."""
     return Platform(PlatformConfig(word_bits=16, num_cores=2))
+
+
+async def _read_frames(chunks):
+    reader = asyncio.StreamReader()
+
+    async def arrive():
+        for chunk in chunks:
+            reader.feed_data(chunk)
+            await asyncio.sleep(0)  # let the reader consume what arrived
+        reader.feed_eof()
+
+    arrival = asyncio.ensure_future(arrive())
+    frames = []
+    try:
+        while (frame := await read_frame(reader)) is not None:
+            frames.append(frame)
+    finally:
+        await arrival
+    return frames
+
+
+@pytest.fixture
+def read_frames():
+    """``await read_frames(chunks)``: every frame :func:`read_frame` returns
+    from a stream on which ``chunks`` arrive one at a time, then EOF."""
+    return _read_frames
 
 
 def pytest_configure(config):

@@ -53,7 +53,7 @@ class TestTagCheckRegression:
     def test_client_rejects_a_tampered_confirmation_tag(self):
         async def scenario():
             server = ServeServer(
-                schemes=("ceilidh-toy32",), rng=random.Random(0xC7), workers=1
+                schemes=("ceilidh-toy32",), rng=random.Random(0xC7)
             )
             async with server:
                 host, port = server.address

@@ -2,9 +2,10 @@
 
 Every protocol a scheme supports is driven through a real loopback server
 with the client half executing locally (the same split the traffic engine
-measures); the scheduler's batching and backpressure are exercised
-directly; and the registry's thread-safety — which the threaded
-worker pool depends on — gets a hammering regression test.
+measures); the scheduler's batching, admission bound and thread lifecycle
+are exercised directly; and the registry's thread-safety — the crypto
+thread and HELLO's key creation resolve schemes concurrently — gets a
+hammering regression test.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.errors import (
     UnsupportedOperationError,
 )
 from repro.pkc.registry import _INSTANCES, get_scheme
+from repro.serve import scheduler as scheduler_module
 from repro.serve.client import ServeClient
 from repro.serve.scheduler import BatchScheduler, SchemeHost, classify_error
 from repro.serve.server import ServeServer
@@ -43,10 +45,59 @@ def _server(**overrides) -> ServeServer:
     options = dict(
         schemes=("ceilidh-toy32", "ceilidh-toy64", "xtr-toy32", "rsa-512"),
         rng=random.Random(0x5E581),
-        workers=2,
     )
     options.update(overrides)
     return ServeServer(**options)
+
+
+def _admission_host() -> SchemeHost:
+    host = SchemeHost(schemes=("ceilidh-toy32",), rng=random.Random(5))
+    host.server_key("ceilidh-toy32")  # what HELLO would have done
+    return host
+
+
+def _ka_request(host: SchemeHost):
+    """``submit`` arguments for one ceilidh-toy32 key agreement."""
+    public = host.scheme("ceilidh-toy32").keygen(random.Random(6)).public_wire
+    return "ceilidh-toy32", "key-agreement", public
+
+
+class _HeldCryptoThread:
+    """``_execute_batch`` patched to park the crypto thread until released."""
+
+    def __init__(self, monkeypatch):
+        self._entered = threading.Event()
+        self._released = threading.Event()
+        execute_batch = scheduler_module._execute_batch
+
+        def held(*args):
+            self._entered.set()
+            self._released.wait(timeout=30)
+            return execute_batch(*args)
+
+        monkeypatch.setattr(scheduler_module, "_execute_batch", held)
+
+    async def entered(self) -> None:
+        """Return once the crypto thread is parked inside a batch."""
+        entered = await asyncio.get_running_loop().run_in_executor(
+            None, self._entered.wait, 10
+        )
+        assert entered, "the crypto thread never started a batch"
+
+    def release(self) -> None:
+        self._released.set()
+
+
+@pytest.fixture
+def held_crypto_thread(monkeypatch):
+    return _HeldCryptoThread(monkeypatch)
+
+
+def _crypto_threads(exclude=()) -> list:
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name == "repro-serve-crypto" and thread not in exclude
+    ]
 
 
 class TestServeRequest:
@@ -193,33 +244,120 @@ class TestScheduler:
         assert group.coalesced >= 1
         assert stats.batches < stats.served
 
-    def test_bounded_queue_rejects_with_overloaded(self):
-        async def scenario():
-            host = SchemeHost(schemes=("ceilidh-toy32",), rng=random.Random(5))
-            scheduler = BatchScheduler(host, queue_size=1, workers=1)
-            await scheduler.start()
-            # Park an item in the queue without letting the dispatcher drain
-            # it: stuff the queue synchronously before ever yielding.
-            parked = asyncio.get_running_loop().create_future()
-            try:
-                scheduler._queue.put_nowait(
-                    type(
-                        "Item", (), {
-                            "group": ("ceilidh-toy32", "key-agreement"),
-                            "payload": b"",
-                            "future": parked,
-                        },
-                    )()
-                )
-                with pytest.raises(OverloadedError):
-                    await scheduler.submit("ceilidh-toy32", "key-agreement", b"")
-                return scheduler.stats.rejected
-            finally:
-                await scheduler.stop()
-                if parked.done() and not parked.cancelled():
-                    parked.exception()  # retrieved; no un-awaited warning
+    def test_bounded_queue_rejects_with_overloaded(self, held_crypto_thread):
+        """One request executing on the held thread fills ``queue_size=1``:
+        the next submission is refused at once, and the held one still
+        answers after the release."""
 
-        assert run(scenario()) == 1
+        async def scenario():
+            host = _admission_host()
+            scheduler = BatchScheduler(host, queue_size=1)
+            await scheduler.start()
+            try:
+                accepted = asyncio.ensure_future(scheduler.submit(*_ka_request(host)))
+                await held_crypto_thread.entered()
+                with pytest.raises(OverloadedError):
+                    await scheduler.submit(*_ka_request(host))
+                held_crypto_thread.release()
+                ok, _, _ = await accepted
+                return ok, scheduler.stats
+            finally:
+                held_crypto_thread.release()
+                await scheduler.stop()
+
+        ok, stats = run(scenario())
+        assert ok
+        assert (stats.submitted, stats.rejected, stats.served) == (1, 1, 1)
+
+    def test_admission_counts_executing_and_queued_requests(
+        self, held_crypto_thread
+    ):
+        """Exactly ``queue_size`` unanswered requests are admitted, whether
+        they wait in the queue or already execute; the k beyond them are
+        refused with OverloadedError, and every admitted one answers after
+        the release."""
+        queue_size, extra = 4, 3
+
+        async def scenario():
+            host = _admission_host()
+            scheduler = BatchScheduler(host, max_batch=2, queue_size=queue_size)
+            await scheduler.start()
+            try:
+                admitted = [
+                    asyncio.ensure_future(scheduler.submit(*_ka_request(host)))
+                    for _ in range(queue_size)
+                ]
+                # The thread has drained the first batch and holds it: the
+                # queue itself no longer holds every admitted request.
+                await held_crypto_thread.entered()
+                refused = [
+                    asyncio.ensure_future(scheduler.submit(*_ka_request(host)))
+                    for _ in range(extra)
+                ]
+                outcomes = await asyncio.gather(*refused, return_exceptions=True)
+                held_crypto_thread.release()
+                results = await asyncio.gather(*admitted)
+                return outcomes, results, scheduler.stats
+            finally:
+                held_crypto_thread.release()
+                await scheduler.stop()
+
+        outcomes, results, stats = run(scenario())
+        assert all(isinstance(outcome, OverloadedError) for outcome in outcomes)
+        assert len(outcomes) == extra
+        assert len(results) == queue_size and all(ok for ok, _, _ in results)
+        assert stats.rejected == extra
+        assert stats.submitted == stats.served == queue_size
+
+    def test_server_answers_overloaded_past_queue_size(self, held_crypto_thread):
+        """The same bound through a live server: ``queue_size`` + k clients
+        each send one key agreement while the crypto thread is held; exactly
+        k get an OP_OVERLOADED frame at once, and the ``queue_size``
+        admitted ones get their confirmations after the release."""
+        queue_size, extra = 3, 2
+
+        async def scenario():
+            server = _server(queue_size=queue_size)
+            await server.start()
+            host, port = server.address
+            clients = []
+            try:
+                for _ in range(queue_size + extra):
+                    client = ServeClient(host, port)
+                    await client.connect()
+                    await client.negotiate("ceilidh-toy32")
+                    clients.append(client)
+                rng = random.Random(31)
+                admitted = []
+                for client in clients[:queue_size]:
+                    admitted.append(
+                        asyncio.ensure_future(client.key_agreement_session(rng))
+                    )
+                    # Admit in order: each request reaches the scheduler
+                    # before the next client sends.
+                    while server.scheduler.stats.submitted < len(admitted):
+                        await asyncio.sleep(0.001)
+                await held_crypto_thread.entered()
+                refused = await asyncio.gather(
+                    *(client.key_agreement_session(rng) for client in clients[queue_size:]),
+                    return_exceptions=True,
+                )
+                held_crypto_thread.release()
+                completed = await asyncio.gather(*admitted)
+                return refused, completed, server.scheduler.stats
+            finally:
+                held_crypto_thread.release()
+                for client in clients:
+                    await client.close()
+                await server.stop()
+
+        refused, completed, stats = run(scenario())
+        assert len(refused) == extra
+        assert all(isinstance(outcome, OverloadedError) for outcome in refused)
+        assert len(completed) == queue_size
+        assert all(latency > 0 for latency in completed)
+        assert stats.rejected == extra
+        assert stats.submitted == stats.served == queue_size
 
     def test_rejects_bad_configuration(self):
         host = SchemeHost(schemes=("ceilidh-toy32",))
@@ -242,7 +380,7 @@ class TestGracefulDrain:
     def test_scheduler_drain_resolves_every_accepted_future(self):
         async def scenario():
             host = SchemeHost(schemes=("ceilidh-toy32",), rng=random.Random(7))
-            scheduler = BatchScheduler(host, workers=2, max_batch=8)
+            scheduler = BatchScheduler(host, max_batch=8)
             await scheduler.start()
             scheme = host.scheme("ceilidh-toy32")
             host.server_key("ceilidh-toy32")  # what HELLO would have done
@@ -325,6 +463,50 @@ class TestGracefulDrain:
         run(scenario())
 
 
+class TestSchedulerLifecycle:
+    """``stop`` joins the crypto thread: a thread left running would keep a
+    server process from exiting."""
+
+    @pytest.mark.parametrize("drain", [False, True], ids=["stop", "drain"])
+    def test_no_crypto_thread_outlives_stop(self, drain):
+        async def scenario():
+            before = _crypto_threads()
+            server = _server()
+            await server.start()
+            host, port = server.address
+            async with ServeClient(host, port) as client:
+                await client.negotiate("ceilidh-toy32")
+                await client.key_agreement_session(random.Random(4))
+            started = _crypto_threads(exclude=before)
+            await server.stop(drain=drain)
+            return started
+
+        started = run(scenario())
+        assert len(started) == 1
+        assert not started[0].is_alive()
+
+    def test_plain_stop_cancels_requests_the_thread_never_took(
+        self, held_crypto_thread
+    ):
+        async def scenario():
+            host = _admission_host()
+            scheduler = BatchScheduler(host, max_batch=1)
+            await scheduler.start()
+            executing = asyncio.ensure_future(scheduler.submit(*_ka_request(host)))
+            await held_crypto_thread.entered()
+            queued = asyncio.ensure_future(scheduler.submit(*_ka_request(host)))
+            await asyncio.sleep(0)  # queued behind the held batch
+            stopping = asyncio.ensure_future(scheduler.stop())
+            await asyncio.sleep(0.01)
+            held_crypto_thread.release()
+            await stopping
+            return await executing, queued
+
+        (ok, _, _), queued = run(scenario())
+        assert ok  # the batch already executing finishes
+        assert queued.cancelled()
+
+
 class TestSchemeHost:
     def test_allowlist_and_key_reuse(self, rng):
         host = SchemeHost(schemes=("ceilidh-toy32",), rng=rng)
@@ -354,7 +536,7 @@ class TestSchemeHost:
 
 class TestRegistryThreadSafety:
     def test_concurrent_get_scheme_returns_one_instance(self):
-        """The worker pool resolves schemes concurrently; the cache must not fork."""
+        """Threads resolve schemes concurrently; the cache must not fork."""
         _INSTANCES.pop(("ceilidh-toy64", "plain"), None)  # force reconstruction
         results, barrier = [], threading.Barrier(8)
 

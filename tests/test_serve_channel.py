@@ -40,7 +40,6 @@ from repro.serve.cluster import reuseport_available
 from repro.serve.protocol import (
     CHANNEL_ID_LEN,
     CHANNEL_OPS,
-    FrameDecoder,
     OP_CHAN_MSG,
     OP_CHAN_OPEN,
     encode_frame,
@@ -57,7 +56,6 @@ def _server(**overrides) -> ServeServer:
     options = dict(
         schemes=("ceilidh-toy32", "ceilidh-toy64", "xtr-toy32", "rsa-512"),
         rng=random.Random(0x5E55),
-        workers=2,
     )
     options.update(overrides)
     return ServeServer(**options)
@@ -469,8 +467,8 @@ class TestIdleTimeout:
         assert run(scenario()) == 0
 
 
-class TestFrameDecoderChannelFuzz:
-    """Satellite: the sans-IO decoder over mangled channel frames."""
+class TestReadFrameChannelFuzz:
+    """Satellite: ``read_frame`` over mangled channel frames."""
 
     def _valid_frames(self) -> list:
         frames = []
@@ -479,54 +477,67 @@ class TestFrameDecoderChannelFuzz:
                 frames.append(encode_frame(opcode, pack_channel(CHANNEL_ID, blob)))
         return frames
 
-    def test_truncations_never_yield_a_frame_or_crash(self):
-        for wire in self._valid_frames():
-            for cut in range(len(wire)):
-                decoder = FrameDecoder()
-                assert decoder.feed(wire[:cut]) == []
-                # Feeding the remainder completes exactly one frame.
-                frames = decoder.feed(wire[cut:])
-                assert len(frames) == 1
-                assert frames[0].payload[:CHANNEL_ID_LEN] == CHANNEL_ID
+    def test_truncations_never_yield_a_frame_or_crash(self, read_frames):
+        async def scenario():
+            for wire in self._valid_frames():
+                for cut in range(len(wire)):
+                    # The stream ends at the cut: nothing at a frame
+                    # boundary, an explicit ProtocolError inside a frame.
+                    if cut == 0:
+                        assert await read_frames([wire[:cut]]) == []
+                    else:
+                        with pytest.raises(ProtocolError):
+                            await read_frames([wire[:cut]])
+                    # The remainder arriving later completes exactly one frame.
+                    frames = await read_frames([wire[:cut], wire[cut:]])
+                    assert len(frames) == 1
+                    assert frames[0].payload[:CHANNEL_ID_LEN] == CHANNEL_ID
 
-    def test_random_split_points_reassemble_identically(self):
+        run(scenario())
+
+    def test_random_split_points_reassemble_identically(self, read_frames):
         rng = random.Random(0xF22)
         wire = b"".join(self._valid_frames())
-        for _ in range(50):
-            decoder = FrameDecoder()
-            collected = []
-            position = 0
-            while position < len(wire):
-                step = rng.randint(1, 37)
-                collected.extend(decoder.feed(wire[position:position + step]))
-                position += step
-            assert len(collected) == 6
-            assert decoder.pending_bytes == 0
 
-    def test_oversized_channel_frame_rejected_and_decoder_goes_dead(self):
+        async def scenario():
+            for _ in range(50):
+                chunks = []
+                position = 0
+                while position < len(wire):
+                    step = rng.randint(1, 37)
+                    chunks.append(wire[position:position + step])
+                    position += step
+                frames = await read_frames(chunks)
+                assert b"".join(
+                    encode_frame(frame.opcode, frame.payload) for frame in frames
+                ) == wire
+
+        run(scenario())
+
+    def test_oversized_channel_frame_rejected(self, read_frames):
         from repro.serve.protocol import HEADER, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION
 
         # The length field covers version + opcode + payload, so the first
         # oversized advertisement is MAX_FRAME_PAYLOAD + 3.
         oversized = HEADER.pack(MAX_FRAME_PAYLOAD + 3, PROTOCOL_VERSION, OP_CHAN_MSG)
-        decoder = FrameDecoder()
         with pytest.raises(ProtocolError):
-            decoder.feed(oversized)
-        with pytest.raises(ProtocolError):
-            decoder.feed(b"")  # dead after a framing violation
+            run(read_frames([oversized]))
 
-    def test_mutated_headers_raise_or_wait_but_never_crash(self):
+    def test_mutated_headers_raise_or_parse_but_never_crash(self, read_frames):
         rng = random.Random(0xFADE)
         base = encode_frame(OP_CHAN_MSG, pack_channel(CHANNEL_ID, b"z" * 32))
-        for _ in range(200):
-            mutated = bytearray(base)
-            for _ in range(rng.randint(1, 4)):
-                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
-            decoder = FrameDecoder()
-            try:
-                decoder.feed(bytes(mutated))
-            except ProtocolError:
-                pass  # an explicit rejection is a correct outcome
+
+        async def scenario():
+            for _ in range(200):
+                mutated = bytearray(base)
+                for _ in range(rng.randint(1, 4)):
+                    mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+                try:
+                    await read_frames([bytes(mutated)])
+                except ProtocolError:
+                    pass  # an explicit rejection is a correct outcome
+
+        run(scenario())
 
 
 @pytest.mark.skipif(not reuseport_available(), reason="SO_REUSEPORT not available")

@@ -1,7 +1,7 @@
 """Wire-protocol edge cases of the serving layer.
 
-The sans-IO :class:`~repro.serve.protocol.FrameDecoder` is exercised on raw
-bytes (truncation, arbitrary chunking, hostile length prefixes); the server
+:func:`~repro.serve.protocol.read_frame` is exercised on a stream reader fed
+raw bytes (truncation, arbitrary chunking, hostile length prefixes); the server
 state machine is exercised over real loopback sockets for the failure modes
 only a live connection shows: unknown scheme names, protocol-version
 mismatches, and mid-stream connection drops that must never take the server
@@ -31,7 +31,6 @@ from repro.serve.protocol import (
     OP_WELCOME,
     PROTOCOL_VERSION,
     Frame,
-    FrameDecoder,
     encode_frame,
     pack_error,
     pack_verify,
@@ -52,48 +51,55 @@ def run(coroutine):
 
 
 class TestFraming:
-    def test_round_trip(self):
-        decoder = FrameDecoder()
-        frames = decoder.feed(encode_frame(OP_HELLO, b"ceilidh-170"))
+    def test_round_trip(self, read_frames):
+        frames = run(read_frames([encode_frame(OP_HELLO, b"ceilidh-170")]))
         assert frames == [Frame(PROTOCOL_VERSION, OP_HELLO, b"ceilidh-170")]
-        assert decoder.pending_bytes == 0
 
-    def test_empty_payload_and_coalesced_frames(self):
-        decoder = FrameDecoder()
+    def test_empty_payload_and_coalesced_frames(self, read_frames):
         wire = encode_frame(OP_HELLO) + encode_frame(OP_KA_INIT, b"\x01\x02")
-        frames = decoder.feed(wire)
+        frames = run(read_frames([wire]))
         assert [f.opcode for f in frames] == [OP_HELLO, OP_KA_INIT]
         assert frames[0].payload == b""
         assert frames[1].payload == b"\x01\x02"
 
-    def test_byte_at_a_time_chunking(self):
-        decoder = FrameDecoder()
+    def test_byte_at_a_time_chunking(self, read_frames):
         wire = encode_frame(OP_KA_INIT, b"chunked-payload")
-        collected = []
-        for index in range(len(wire)):
-            collected += decoder.feed(wire[index : index + 1])
-        assert collected == [Frame(PROTOCOL_VERSION, OP_KA_INIT, b"chunked-payload")]
+        chunks = [wire[index : index + 1] for index in range(len(wire))]
+        frames = run(read_frames(chunks))
+        assert frames == [Frame(PROTOCOL_VERSION, OP_KA_INIT, b"chunked-payload")]
 
     def test_truncated_frame_stays_pending(self):
-        decoder = FrameDecoder()
-        wire = encode_frame(OP_KA_INIT, b"x" * 40)
-        assert decoder.feed(wire[:-7]) == []
-        assert decoder.pending_bytes == len(wire) - 7
-        assert decoder.feed(wire[-7:]) == [Frame(PROTOCOL_VERSION, OP_KA_INIT, b"x" * 40)]
+        async def scenario():
+            reader = asyncio.StreamReader()
+            wire = encode_frame(OP_KA_INIT, b"x" * 40)
+            reader.feed_data(wire[:-7])
+            pending = asyncio.ensure_future(read_frame(reader))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            waited = not pending.done()
+            reader.feed_data(wire[-7:])
+            return waited, await pending
+
+        waited, frame = run(scenario())
+        assert waited
+        assert frame == Frame(PROTOCOL_VERSION, OP_KA_INIT, b"x" * 40)
 
     def test_oversized_length_rejected_before_buffering(self):
-        decoder = FrameDecoder()
-        hostile = struct.pack(">IBB", MAX_FRAME_PAYLOAD + 3, PROTOCOL_VERSION, OP_HELLO)
-        with pytest.raises(ProtocolError, match="frame length"):
-            decoder.feed(hostile)
-        # The decoder refuses to continue past a framing violation.
-        with pytest.raises(ProtocolError, match="dead"):
-            decoder.feed(b"more")
+        async def scenario():
+            reader = asyncio.StreamReader()
+            hostile = struct.pack(">IBB", MAX_FRAME_PAYLOAD + 3, PROTOCOL_VERSION, OP_HELLO)
+            reader.feed_data(hostile + b"more")
+            reader.feed_eof()
+            with pytest.raises(ProtocolError, match="frame length"):
+                await read_frame(reader)
+            return await reader.read()
 
-    def test_undersized_length_rejected(self):
-        decoder = FrameDecoder()
+        # Only the length prefix was consumed; nothing of the body was read.
+        assert run(scenario()) == bytes([PROTOCOL_VERSION, OP_HELLO]) + b"more"
+
+    def test_undersized_length_rejected(self, read_frames):
         with pytest.raises(ProtocolError, match="frame length"):
-            decoder.feed(struct.pack(">IBB", 1, PROTOCOL_VERSION, OP_HELLO))
+            run(read_frames([struct.pack(">IBB", 1, PROTOCOL_VERSION, OP_HELLO)]))
 
     def test_encode_rejects_oversized_payload(self):
         with pytest.raises(ProtocolError, match="cap"):
@@ -132,15 +138,6 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="body"):
             run(scenario())
 
-    def test_read_frame_oversized_length_raises(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">I", MAX_FRAME_PAYLOAD + 3) + b"\x01\x01")
-            await read_frame(reader)
-
-        with pytest.raises(ProtocolError, match="frame length"):
-            run(scenario())
-
 
 class TestPayloadShapes:
     def test_welcome_round_trip(self):
@@ -176,7 +173,6 @@ def _server(**overrides) -> ServeServer:
     options = dict(
         schemes=("ceilidh-toy32", "xtr-toy32", "rsa-512"),
         rng=random.Random(0x5E58E),
-        workers=1,
     )
     options.update(overrides)
     return ServeServer(**options)

@@ -260,7 +260,7 @@ class TestEngine:
 
         async def scenario():
             async with ServeServer(
-                schemes=("ceilidh-toy32",), rng=random.Random(4), workers=2
+                schemes=("ceilidh-toy32",), rng=random.Random(4)
             ) as server:
                 host, port = server.address
                 return await run_traffic(
