@@ -169,9 +169,10 @@ def bench_perf_tracking(record_table, record_perf, platform, quick):
     A full-size run records each cell's median run of
     :data:`BASELINE_SAMPLES`, with the sample count and the interquartile
     range of its throughput in ``meta``, so the committed baseline is one
-    command's output with its spread beside it.  Its samples go round the
-    cells, so each cell's median spans the whole run rather than the one
-    stretch of host speed its consecutive runs would fall in.
+    command's output with its spread beside it.  Both modes take their
+    samples round the cells, so each cell's median (or best) spans the
+    whole run rather than the one stretch of host speed its consecutive
+    runs would fall in.
     """
     # Quick mode takes the best of three runs per cell (standard
     # minimum-of-N timing) to keep the enforced gate from flagging
@@ -188,10 +189,7 @@ def bench_perf_tracking(record_table, record_perf, platform, quick):
         for operation in sorted(BATCH_OPERATIONS)
         if BATCH_OPERATIONS[operation] in scheme.capabilities
     ]
-    order = (
-        [cell for cell in cells for _ in range(repeats)] if quick
-        else [cell for _ in range(repeats) for cell in cells]
-    )
+    order = [cell for _ in range(repeats) for cell in cells]
     samples = {cell: [] for cell in cells}
     for scheme, operation in order:
         samples[scheme, operation].append(run_batch(scheme, operation, sessions, rng=rng))

@@ -6,9 +6,8 @@ scheduler is the boundary: connection handlers :meth:`~BatchScheduler.submit`
 decoded requests, and admission counts every accepted request that has no
 answer yet — queued or executing — against ``queue_size``.  Past that count
 ``submit`` raises :class:`~repro.errors.OverloadedError` at once (the server
-answers ``OP_OVERLOADED``), so the backlog, and with it the wait of every
-accepted request, is bounded by ``queue_size`` service times: explicit
-backpressure, never unbounded buffering.
+answers ``OP_OVERLOADED``), so no accepted request waits behind more than
+``queue_size`` others: explicit backpressure, never unbounded buffering.
 
 Accepted requests go through one ``queue.SimpleQueue`` to one long-lived
 crypto thread.  It drains whatever is pending, groups it by ``(scheme,

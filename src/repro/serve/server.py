@@ -6,7 +6,7 @@ per connection.  The handler is IO-only: it reads frames, enforces the
 handshake state machine (version check → ``HELLO`` negotiation → operation
 requests), checks the negotiated scheme's capabilities, and submits every
 operation to the shared :class:`~repro.serve.scheduler.BatchScheduler`,
-whose one crypto thread runs all group arithmetic — requests from
+whose one crypto thread runs every request's group arithmetic — requests from
 *different connections* to the same scheme therefore merge into the same
 server-side batches, which is the whole point of terminating many small
 clients on one process.

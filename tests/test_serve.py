@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import sys
 import threading
 
 import pytest
@@ -308,6 +309,50 @@ class TestScheduler:
         assert len(results) == queue_size and all(ok for ok, _, _ in results)
         assert stats.rejected == extra
         assert stats.submitted == stats.served == queue_size
+
+    def test_counters_balance_under_thread_switch_stress(self):
+        """Retrying submitters against a tiny bound while the interpreter
+        switches threads every microsecond: every submission ends answered
+        or refused, and the counters the loop and the crypto thread's
+        callbacks keep agree with what the submitters saw."""
+        submitters, answers_each = 6, 8
+
+        async def submitter(scheduler, request, seen):
+            while seen["ok"] < answers_each:
+                try:
+                    ok, _, _ = await scheduler.submit(*request)
+                except OverloadedError:
+                    seen["refused"] += 1
+                    await asyncio.sleep(0)
+                    continue
+                assert ok
+                seen["ok"] += 1
+
+        async def scenario():
+            host = _admission_host()
+            scheduler = BatchScheduler(host, max_batch=2, queue_size=3)
+            await scheduler.start()
+            seen = [{"ok": 0, "refused": 0} for _ in range(submitters)]
+            try:
+                await asyncio.wait_for(
+                    asyncio.gather(
+                        *(submitter(scheduler, _ka_request(host), s) for s in seen)
+                    ),
+                    timeout=60,
+                )
+            finally:
+                await scheduler.stop()
+            return seen, scheduler.stats
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen, stats = run(scenario())
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert stats.served == stats.submitted == submitters * answers_each
+        assert stats.rejected == sum(s["refused"] for s in seen) > 0
+        assert stats.errors == 0
 
     def test_server_answers_overloaded_past_queue_size(self, held_crypto_thread):
         """The same bound through a live server: ``queue_size`` + k clients
