@@ -47,9 +47,6 @@ BASELINE_SAMPLES = 15
 #: regression if the two batches differed in size.
 PERF_TRACKING_SESSIONS = 16
 
-#: Non-default backends whose serving throughput gets its own BENCH rows.
-EXTRA_BACKENDS = ("montgomery",)
-
 #: Measured-vs-analytic agreement bound of the Table 3 projection check.
 PROJECTION_TOLERANCE = 0.05
 
@@ -180,9 +177,9 @@ def bench_perf_tracking(record_table, record_perf, platform, quick):
     sessions = PERF_TRACKING_SESSIONS
     repeats = 3 if quick else BASELINE_SAMPLES
     rng = random.Random(34)
-    # The unsuffixed BENCH keys are the *plain* baseline by contract; pin
-    # the backend so an env-steered run (REPRO_FIELD_BACKEND=...) cannot
-    # time another substrate into them or trip the gate.
+    # The BENCH keys are the *plain* baseline by contract; pin the backend
+    # so an env-steered run (REPRO_FIELD_BACKEND=...) cannot time another
+    # substrate into them or trip the gate.
     cells = [
         (scheme, operation)
         for scheme in (get_scheme(name, backend="plain") for name in BATCH_SCHEMES)
@@ -240,110 +237,6 @@ def bench_perf_tracking(record_table, record_perf, platform, quick):
         print(report)
     if os.environ.get("REPRO_BENCH_ENFORCE"):
         assert not regressions, report
-
-
-def bench_backend_throughput(record_table, record_perf, platform, quick):
-    """Per-backend serving throughput rows for ``BENCH_pkc.json``.
-
-    The plain backend's cells are the existing (unsuffixed) baseline keys;
-    this benchmark adds one row per headline scheme and non-default backend
-    under a ``scheme+backend`` key (e.g. ``ceilidh-170+montgomery:
-    key-agreement``), so the resident-Montgomery serving cost is tracked
-    over time without disturbing the plain baseline or its regression gate
-    (the comparator skips keys absent from either side).
-    """
-    sessions = 2 if quick else 8
-    rng = random.Random(35)
-    rows = []
-    emitted = []
-    for name in BATCH_SCHEMES:
-        for backend in EXTRA_BACKENDS:
-            scheme = get_scheme(name, backend=backend)
-            operation = next(
-                (op for op in ("key-agreement", "encryption", "signature")
-                 if BATCH_OPERATIONS[op] in scheme.capabilities),
-                None,
-            )
-            if operation is None:  # pragma: no cover - every scheme has one
-                continue
-            result = run_batch(scheme, operation, sessions, rng=rng)
-            record = record_from_batch(
-                result, scheme=scheme, platform=platform, quick=quick,
-                sessions=sessions, backend=backend,
-            )
-            record.scheme = f"{record.scheme}+{backend}"
-            record_perf(record)
-            emitted.append(record.key)
-            rows.append(
-                (
-                    record.scheme,
-                    record.operation,
-                    record.sessions,
-                    round(record.ops_per_second, 1),
-                    round(record.ms_per_op, 2),
-                )
-            )
-    record_table(
-        "backend_throughput",
-        ["scheme+backend", "operation", "sessions", "ops/s", "ms/op"],
-        rows,
-        title="Per-backend serving throughput (suffixed BENCH_pkc.json keys)",
-    )
-    # The suffixed keys never collide with the plain baseline cells.
-    assert all("+" in key.split(":")[0] for key in emitted)
-    assert len(emitted) == len(BATCH_SCHEMES) * len(EXTRA_BACKENDS)
-
-
-def bench_batch_vectorized_throughput(record_table, record_perf, platform, quick):
-    """Coalesced (vectorised) key-agreement throughput per scheme and backend.
-
-    Each row is one ``scheme+backend:batch-ka`` BENCH key: ``sessions``
-    sessions served through the batch entry points — ``keygen_many``, the
-    clients' ``key_agreement_with_many`` against the one server public
-    (shared fixed-base table) and the server's ``key_agreement_many``
-    (batched inversions) — in one coalesced call.  The plain rows measure
-    the vectorised path on the default substrate; RSA advertises no key
-    agreement and is skipped.  New keys are invisible to the regression
-    gate until a baseline holds them (the comparator skips keys absent from
-    either side).
-    """
-    sessions = 2 if quick else 8
-    rng = random.Random(36)
-    rows = []
-    emitted = []
-    for name in BATCH_SCHEMES:
-        for backend in ("plain",) + EXTRA_BACKENDS:
-            scheme = get_scheme(name, backend=backend)
-            if BATCH_OPERATIONS["key-agreement"] not in scheme.capabilities:
-                continue
-            result = run_batch(scheme, "key-agreement", sessions, rng=rng, coalesce=True)
-            assert result.coalesced and result.batch_size == sessions
-            record = record_from_batch(
-                result, scheme=scheme, platform=platform, quick=quick,
-                sessions=sessions, backend=backend,
-            )
-            record.scheme = f"{record.scheme}+{backend}"
-            record.operation = "batch-ka"
-            record_perf(record)
-            emitted.append(record.key)
-            rows.append(
-                (
-                    record.scheme,
-                    record.sessions,
-                    record.batch_size,
-                    round(record.ops_per_second, 1),
-                    round(record.ms_per_op, 2),
-                )
-            )
-    record_table(
-        "batch_vectorized_throughput",
-        ["scheme+backend", "sessions", "batch", "ops/s", "ms/op"],
-        rows,
-        title="Vectorised key agreement (coalesced batch entry points, batch-ka keys)",
-    )
-    ka_schemes = [name for name in BATCH_SCHEMES if name != "rsa-1024"]
-    assert all(key.endswith(":batch-ka") for key in emitted)
-    assert len(emitted) == len(ka_schemes) * (1 + len(EXTRA_BACKENDS))
 
 
 def bench_measured_vs_analytic_projection(record_table, platform, quick):

@@ -18,12 +18,13 @@ Typical round trip::
     regressions = perf.compare(current, perf.load_bench(path), tolerance=0.2)
 
 ``python -m repro.perf show|compare`` exposes the same operations from the
-command line.
+command line.  The file's only writer is ``bench_perf_tracking`` in
+``benchmarks/bench_pkc_batch.py``: each row is the median of repeated
+offline runs, with the sample count and the throughput IQR in ``meta``.
 
-Online serving runs (:mod:`repro.serve`) additionally collect per-request
-latencies into a :class:`~repro.perf.latency.LatencyHistogram`, whose
-percentile digest rides in ``PerfRecord.latency_ms`` under the ``serve:``
-trajectory keys.
+:class:`~repro.perf.latency.LatencyHistogram` is the latency vocabulary of
+the traffic engine (:mod:`repro.traffic`), whose per-request percentiles
+``python -m repro.serve load`` prints; no online run writes a row.
 """
 
 from repro.perf.baseline import Regression, compare, format_regressions

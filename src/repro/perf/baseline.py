@@ -13,7 +13,7 @@ on one machine can compare raw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.perf.record import PerfRecord
 
@@ -50,31 +50,22 @@ def compare(
     current: Dict[str, PerfRecord],
     baseline: Dict[str, PerfRecord],
     tolerance: float = 0.2,
-    keys: Optional[Sequence[str]] = None,
     calibrate: bool = False,
-    skip_prefixes: Optional[Sequence[str]] = None,
 ) -> List[Regression]:
     """Regressions of ``current`` against ``baseline``.
 
     A cell regresses when its throughput is below ``(1 - tolerance)`` times
-    the (calibrated) baseline throughput.  ``keys`` restricts the check to
-    specific ``scheme:operation`` cells; by default every cell present in
-    both runs is compared.  Cells missing from either side are skipped — a
-    new scheme has no baseline yet, and a baseline-only cell just was not
-    re-measured.  ``skip_prefixes`` drops whole key families from the
-    check: serving rows (``serve:``, ``serve-cluster:``) measure wall-clock
-    through a concurrent harness whose numbers move with machine load and
-    worker topology, so CI gates them separately (on correctness) rather
-    than on throughput.
+    the (calibrated) baseline throughput.  Every ``scheme:operation`` cell
+    present in both runs is compared.  Cells missing from either side are
+    skipped — a new scheme has no baseline yet, and a baseline-only cell
+    just was not re-measured.
     """
     if not 0 <= tolerance < 1:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    skip = tuple(skip_prefixes or ())
     shared = [
         key
-        for key in (keys if keys is not None else sorted(current))
-        if key in current and key in baseline and baseline[key].ops_per_second > 0
-        and not any(key.startswith(prefix) for prefix in skip)
+        for key in sorted(current)
+        if key in baseline and baseline[key].ops_per_second > 0
     ]
     if not shared:
         return []

@@ -3,8 +3,9 @@
 Throughput alone cannot describe an online service: the serving acceptance
 story is written in percentiles (how slow the slowest clients were), so the
 perf layer gains a :class:`LatencyHistogram` — per-request latency samples
-with percentile extraction and a JSON-shaped summary that travels inside a
-:class:`~repro.perf.record.PerfRecord`'s ``latency_ms`` field.
+with percentile extraction and a summary digest.  The traffic engine keeps
+one per ``(scheme, kind)`` cell, and ``python -m repro.serve load`` prints
+their percentiles.
 
 The implementation keeps the raw samples (a serving-harness run is at most
 a few thousand requests) and computes exact percentiles by linear
@@ -95,7 +96,7 @@ class LatencyHistogram:
         return self._samples[low] * (1 - fraction) + self._samples[high] * fraction
 
     def summary(self) -> Dict[str, float]:
-        """The JSON-shaped digest stored in ``PerfRecord.latency_ms``.
+        """The percentile digest of the samples.
 
         Milliseconds throughout: ``p50_ms`` / ``p90_ms`` / ``p99_ms`` /
         ``p999_ms`` / ``max_ms`` / ``mean_ms``, plus the sample ``count``.

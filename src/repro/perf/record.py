@@ -70,10 +70,6 @@ class PerfRecord:
     #: (the batch entry points served all sessions in one call); ``None``
     #: for per-session loop runs and for records predating the field.
     batch_size: Optional[int] = None
-    #: Latency percentile digest of an online serving run (the
-    #: :meth:`repro.perf.latency.LatencyHistogram.summary` shape); ``None``
-    #: for offline batch cells, whose latency is uniform by construction.
-    latency_ms: Optional[Dict[str, float]] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -95,7 +91,6 @@ class PerfRecord:
             "wire_bytes": self.wire_bytes,
             "projected_cycles": self.projected_cycles,
             "batch_size": self.batch_size,
-            "latency_ms": dict(self.latency_ms) if self.latency_ms else None,
             "meta": dict(self.meta),
         }
 
@@ -113,7 +108,7 @@ def record_from_batch(result, scheme=None, platform=None, **meta: Any) -> PerfRe
     squarings/multiplications are priced through
     ``scheme.platform_cycles_per_operation`` into ``projected_cycles``.
     Extra keyword arguments land in ``meta`` (e.g. ``quick=True``,
-    ``backend="montgomery"``).
+    ``samples=15``).
     """
     projected: Optional[int] = None
     if scheme is not None and platform is not None:

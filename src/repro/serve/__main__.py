@@ -11,22 +11,25 @@ Three subcommands:
   ``SO_REUSEPORT``, with crash restart, graceful drain on ``SIGTERM`` and
   a rolling restart on ``SIGHUP``.
 
-* ``load`` — the measuring harness of the serving acceptance story: the one
-  load generator, :func:`repro.traffic.run_traffic`, over a list of mixes
-  against a list of targets.  The mixes are one seeded ``--mix`` preset
-  (Zipf popularity, bursty arrivals, secure channels) or, per ``--schemes``
+* ``load`` — the serving correctness gate: the one load generator,
+  :func:`repro.traffic.run_traffic`, over a list of mixes against a list
+  of targets.  The mixes are one seeded ``--mix`` preset (Zipf
+  popularity, bursty arrivals, secure channels) or, per ``--schemes``
   entry, a closed-loop :func:`~repro.traffic.model.one_shot_mix` of its
   first supported protocol, so the server can fill same-scheme batches.
   The target is an in-process server, ``--connect HOST:PORT``, or a fresh
   cluster per ``--cluster`` worker count (1 is prepended as the efficiency
-  reference).  Rows merge into ``BENCH_pkc.json`` (see :func:`_emit_records`).
+  reference).  It prints one table over every run and writes no file;
+  perfbench (``perfbench/run.py``) is what measures the server.
 
 The exit status is the check: non-zero when a session failed (the engine
 raises), when any run broke the accounting identity (submitted = responses
 + explicit errors), when the in-process server counted a protocol error,
 or when its batched ceilidh-170 key-agreement throughput in a
 ``--schemes`` run fell below ``--min-ratio`` (default 0.8) of the offline
-``run_batch`` baseline measured in the same process.
+``run_batch`` baseline measured in the same process.  A malformed
+``--connect`` or ``--cluster`` is a usage error (status 2) before any
+socket or process starts.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
-import pathlib
 import signal
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,7 +49,6 @@ from repro.traffic import (
     one_shot_mix,
     run_traffic,
 )
-from repro.traffic.engine import CHANNEL_MESSAGE, CHANNEL_OPEN
 from repro.traffic.model import HEADLINE_SCHEMES, ONESHOT_OPERATIONS
 
 #: The scheme x operation whose serving throughput is gated against offline.
@@ -59,10 +60,6 @@ BASELINE_OPERATION = "key-agreement"
 Runs = List[Tuple[int, TrafficReport]]
 #: ``(worker count, cell key)`` -> scaling efficiency, for N > 1 workers.
 Efficiency = Dict[Tuple[int, str], float]
-
-#: Channel cell kind -> its ``serve-channel:`` row operation.  Every opened
-#: channel creates both cells, so the rows come in pairs.
-CHANNEL_ROWS = {CHANNEL_OPEN: "open", CHANNEL_MESSAGE: "message"}
 
 
 def _add_server_options(parser: argparse.ArgumentParser) -> None:
@@ -108,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "answer; past it a request is answered OP_OVERLOADED")
 
     load = commands.add_parser("load", help="drive a server with concurrent clients")
-    load.add_argument("--connect", default=None, metavar="HOST:PORT",
+    load.add_argument("--connect", type=_parse_host_port, default=None,
+                      metavar="HOST:PORT",
                       help="load an external server (default: boot one in-process)")
     load.add_argument("--schemes", default=",".join(HEADLINE_SCHEMES),
                       help="comma-separated mix (default: the four headline schemes)")
@@ -121,14 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="smoke mode: minimal sessions, still >= 8 concurrent clients")
     load.add_argument("--min-ratio", type=float, default=0.8,
                       help="gate: serve/offline ceilidh-170 throughput floor")
-    load.add_argument("--no-emit", action="store_true",
-                      help="skip the BENCH_pkc.json merge")
-    load.add_argument("--bench-root", default=".",
-                      help="directory whose BENCH_pkc.json receives the serve: keys")
-    load.add_argument("--cluster", default=None, metavar="N[,N...]",
+    load.add_argument("--cluster", type=_parse_cluster_counts, default=None,
+                      metavar="N[,N...]",
                       help="scaling sweep: run the mixes against a fresh cluster at "
                            "each worker count (1 is prepended as the efficiency "
-                           "reference) and emit serve-cluster: rows")
+                           "reference) and print each count's efficiency next to "
+                           "the core count")
     load.add_argument("--mix", default=None, metavar="NAME",
                       help="drive a seeded traffic-model mix (zipf popularity, "
                            "bursty arrivals, secure channels) instead of one "
@@ -166,10 +162,24 @@ def _offline_baseline(sessions: int, backend: Optional[str]) -> float:
     return result.sessions_per_second
 
 
+def _parse_host_port(raw: str) -> Tuple[str, int]:
+    """``--connect``'s ``HOST:PORT``, checked before any socket opens."""
+    host, _, port_text = raw.rpartition(":")
+    if not host or not port_text.isdigit() or not 0 < int(port_text) < 65536:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {raw!r}")
+    return host, int(port_text)
+
+
 def _parse_cluster_counts(raw: str) -> List[int]:
-    counts = sorted({int(part) for part in raw.split(",") if part.strip()})
+    """``--cluster``'s worker counts, sorted, with 1 first."""
+    try:
+        counts = sorted({int(part) for part in raw.split(",") if part.strip()})
+    except ValueError:
+        counts = []
     if not counts or counts[0] < 1:
-        raise SystemExit(f"--cluster needs positive worker counts, got {raw!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected positive worker counts N[,N...], got {raw!r}"
+        )
     if counts[0] != 1:
         # Efficiency is defined against the single-worker rate; measure it.
         counts.insert(0, 1)
@@ -215,120 +225,8 @@ def _print_runs(runs: Runs, efficiency: Efficiency) -> None:
               f"on {os.cpu_count() or 1} core(s))")
 
 
-def _emit_records(
-    runs: Runs, single: Dict[str, float], efficiency: Efficiency, args,
-    backend_name: str,
-) -> pathlib.Path:
-    """Merge every run's rows into ``BENCH_pkc.json``.
-
-    Scheme runs land ``serve:<scheme>[+backend]:<op>`` rows, or under
-    ``--cluster`` ``serve-cluster:<scheme>[+backend]:<op>@w<N>`` rows whose
-    meta carries the measured ``scaling_efficiency`` (rate at N workers
-    over N x the single-worker rate) *and* the machine's ``cpu_count``,
-    without which the number cannot be read.  ``--mix`` runs land
-    ``traffic:<mix>[+backend]`` cells plus an ``all`` row with the
-    accounting counters (the cells share the run's wall clock:
-    ``shared_wall``), and ``serve-channel:<scheme>[+backend]`` ``open`` and
-    ``message`` rows; cluster sweeps append ``@w<N>`` to the operation.
-    The offline plain-baseline keys are never touched.
-    """
-    from repro import perf
-
-    suffix = "" if backend_name == "plain" else f"+{backend_name}"
-    records = []
-
-    def cell(scheme: str, operation: str, entry, wall: float, meta) -> None:
-        rate = entry.rate(wall)
-        records.append(
-            perf.PerfRecord(
-                scheme=scheme,
-                operation=operation,
-                sessions=entry.count,
-                wall_seconds=wall,
-                ops_per_second=rate,
-                ms_per_op=(1e3 / rate if rate else 0.0),
-                latency_ms=entry.histogram.summary(),
-                meta=meta,
-            )
-        )
-
-    for workers, report in runs:
-        at_workers = f"@w{workers}" if workers else ""
-        wall = report.wall_seconds
-        base_meta = {
-            "clients": report.clients,
-            "backend": backend_name,
-            "quick": args.quick,
-        }
-        if not args.mix:
-            for key, entry in report.entries.items():
-                meta = {**base_meta,
-                        "overload_rejections": report.overload_rejections}
-                if workers:
-                    meta.update(
-                        workers=workers,
-                        cpu_count=os.cpu_count(),
-                        scaling_efficiency=efficiency.get((workers, key)),
-                        single_worker_sessions_per_second=single.get(key),
-                        reconnects=report.reopens,
-                    )
-                family = "serve-cluster" if workers else "serve"
-                cell(f"{family}:{entry.scheme}{suffix}",
-                     f"{entry.kind}{at_workers}", entry, wall, meta)
-            continue
-
-        base_meta.update(mix=report.mix, seed=report.seed, shared_wall=True)
-        if workers:
-            base_meta["workers"] = workers
-        for key in sorted(report.entries):
-            entry = report.entries[key]
-            meta = {**base_meta, "refusals": entry.refusals}
-            cell(f"traffic:{report.mix}{suffix}",
-                 f"{entry.scheme}:{entry.kind}{at_workers}", entry, wall, meta)
-            if entry.kind in CHANNEL_ROWS:
-                cell(f"serve-channel:{entry.scheme}{suffix}",
-                     f"{CHANNEL_ROWS[entry.kind]}{at_workers}", entry, wall,
-                     dict(meta))
-        handshake = report.handshake_histogram()
-        steady = report.steady_state_histogram()
-        records.append(
-            perf.PerfRecord(
-                scheme=f"traffic:{report.mix}{suffix}",
-                operation=f"all{at_workers}",
-                sessions=report.submitted,
-                wall_seconds=wall,
-                ops_per_second=(report.responses / wall if wall else 0.0),
-                ms_per_op=(wall * 1e3 / report.responses
-                           if report.responses else 0.0),
-                latency_ms=steady.summary() if len(steady) else None,
-                meta={
-                    **base_meta,
-                    "submitted": report.submitted,
-                    "responses": report.responses,
-                    "explicit_errors": report.explicit_errors,
-                    "rejected_quota": report.rejected_quota,
-                    "overload_rejections": report.overload_rejections,
-                    "channels_opened": report.channels_opened,
-                    "channel_messages": report.channel_messages,
-                    "rekeys": report.rekeys,
-                    "reopens": report.reopens,
-                    "oneshots": report.oneshots,
-                    "handshake_p50_ms": round(
-                        handshake.percentile(0.5) * 1e3, 4
-                    ),
-                    "steady_state_p50_ms": round(
-                        steady.percentile(0.5) * 1e3, 4
-                    ),
-                },
-            )
-        )
-    path = perf.bench_path(args.bench_root)
-    perf.update_bench(path, records)
-    return path
-
-
 async def _run_load_command(args) -> int:
-    """``load``: one loop over targets and mixes, one printer, one emitter."""
+    """``load``: one loop over targets and mixes, one printer, one verdict."""
     from repro.field.backend import default_backend_name
     from repro.serve.cluster import ClusterSupervisor
 
@@ -343,7 +241,7 @@ async def _run_load_command(args) -> int:
     sessions = args.sessions if args.sessions is not None else default_sessions
     if args.cluster and args.connect:
         raise SystemExit("--cluster boots its own workers; drop --connect")
-    counts = _parse_cluster_counts(args.cluster) if args.cluster else [0]
+    counts = args.cluster or [0]
     schemes = tuple(dict.fromkeys(
         scheme for mix in mixes for scheme in mix.schemes
     ))
@@ -363,9 +261,8 @@ async def _run_load_command(args) -> int:
             host, port = await cluster.start()
             target = f"{workers} worker(s) at {host}:{port}"
         elif args.connect:
-            host, _, port_text = args.connect.rpartition(":")
-            port = int(port_text)
-            target = f"external server at {args.connect}"
+            host, port = args.connect
+            target = f"external server at {host}:{port}"
         else:
             server = ServeServer(
                 backend=args.backend,
@@ -438,13 +335,7 @@ async def _run_load_command(args) -> int:
             print(f"FAIL: serving ratio {ratio:.2f} below {args.min_ratio}")
             failed = True
 
-    if failed:
-        print("perf trajectory NOT updated (run failed)")
-        return 1
-    if not args.no_emit:
-        path = _emit_records(runs, single, efficiency, args, backend_name)
-        print(f"perf trajectory updated: {path}")
-    return 0
+    return 1 if failed else 0
 
 
 async def _run_cluster_command(args) -> int:

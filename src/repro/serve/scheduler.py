@@ -204,10 +204,6 @@ class GroupStats:
         """Batched server-side throughput: requests per busy second."""
         return self.served / self.busy_seconds if self.busy_seconds > 0 else 0.0
 
-    @property
-    def requests_per_batch(self) -> float:
-        return (self.served + self.errors) / self.batches if self.batches else 0.0
-
 
 @dataclass
 class SchedulerStats:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import re
 import sys
 import threading
 
@@ -24,9 +25,11 @@ from repro.errors import (
     UnavailableError,
     UnsupportedOperationError,
 )
+from repro.perf import PerfRecord, update_bench
 from repro.pkc.registry import _INSTANCES, get_scheme
 from repro.serve import scheduler as scheduler_module
 from repro.serve.client import ServeClient
+from repro.serve.cluster import reuseport_available
 from repro.serve.scheduler import BatchScheduler, SchemeHost, classify_error
 from repro.serve.server import ServeServer
 from repro.serve.session import serve_request
@@ -38,8 +41,23 @@ from repro.serve.protocol import (
 from repro.traffic import one_shot_mix, run_traffic
 
 
+#: ``load --cluster`` workers share their port through ``SO_REUSEPORT``.
+needs_reuseport = pytest.mark.skipif(
+    not reuseport_available(), reason="SO_REUSEPORT not available"
+)
+
+#: A row of ``load``'s table: workers (``-`` for one server), scheme, kind,
+#: count, refusals, rate/s, p50/p99/p999 ms and, past 1 worker, the eff.
+LOAD_ROW = re.compile(r"^ *(-|\d+) +\S+ +\S+ +\d+ +\d+ +[\d.]+ ")
+
+
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def _load_table(out: str) -> list:
+    """The rows of ``load``'s printed table, split on whitespace."""
+    return [line.split() for line in out.splitlines() if LOAD_ROW.match(line)]
 
 
 def _server(**overrides) -> ServeServer:
@@ -650,61 +668,57 @@ class TestLoadHarness:
             digest = entry.histogram.summary()
             assert 0 < digest["p50_ms"] <= digest["max_ms"]
 
-    def test_load_cli_emits_serve_keys(self, tmp_path, monkeypatch):
-        from repro.perf import load_bench
+    def test_load_cli_emits_serve_keys(self, capsys):
+        """``load --schemes`` prints one table row per scheme and one
+        accounting line per mix."""
         from repro.serve.__main__ import main
 
-        bench_file = tmp_path / "BENCH_serve_test.json"
-        monkeypatch.setenv("REPRO_BENCH_PATH", str(bench_file))
-        # Pin the plain backend so the emitted keys are the unsuffixed ones
-        # even when the suite runs on the REPRO_FIELD_BACKEND=montgomery leg.
-        monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
         status = main([
             "load", "--quick",
             "--schemes", "ceilidh-toy32,rsa-512",
             "--clients", "8",
         ])
+        out = capsys.readouterr().out
         assert status == 0
-        entries = load_bench(bench_file)
-        assert set(entries) == {
-            "serve:ceilidh-toy32:key-agreement",
-            "serve:rsa-512:encryption",
-        }
-        record = entries["serve:ceilidh-toy32:key-agreement"]
-        assert record.sessions == 16
-        assert record.ops_per_second > 0
-        assert record.latency_ms["count"] == 16
-        assert record.latency_ms["p50_ms"] <= record.latency_ms["max_ms"]
-        assert record.meta["clients"] == 8
+        rows = _load_table(out)
+        assert [(row[1], row[2]) for row in rows] == [
+            ("ceilidh-toy32", "key-agreement"),
+            ("rsa-512", "encryption"),
+        ]
+        for row in rows:
+            assert row[0] == "-"  # the in-process server, not a cluster
+            assert int(row[3]) == 16  # 8 clients x 2 quick sessions
+            assert float(row[5]) > 0
+        for mix in ("ceilidh-toy32:key-agreement", "rsa-512:encryption"):
+            assert re.search(
+                rf"^{mix}: 16 submitted = 16 responses \+ 0 explicit errors",
+                out, re.M,
+            ), out
 
-    def test_load_cli_mix_emits_traffic_and_channel_rows(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.perf import load_bench
+    def test_load_cli_mix_emits_traffic_and_channel_rows(self, capsys):
         from repro.serve.__main__ import main
 
-        bench_file = tmp_path / "BENCH_traffic_test.json"
-        monkeypatch.setenv("REPRO_BENCH_PATH", str(bench_file))
-        monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
         # Seed 0's schedule opens channels on rsa-1024 and ceilidh-170.
         status = main([
             "load", "--quick", "--mix", "zipf-bursty",
             "--clients", "2", "--sessions", "2", "--seed", "0",
         ])
+        out = capsys.readouterr().out
         assert status == 0
-        entries = load_bench(bench_file)
-        meta = entries["traffic:zipf-bursty:all"].meta
-        assert meta["seed"] == 0
-        assert meta["submitted"] == meta["responses"] + meta["explicit_errors"]
-        assert meta["channels_opened"] > 0
-        channel_keys = {key for key in entries if key.startswith("serve-channel:")}
-        schemes = {key.rsplit(":", 1)[0] for key in channel_keys}
-        assert schemes
-        assert channel_keys == {
-            f"{scheme}:{operation}"
-            for scheme in schemes
-            for operation in ("open", "message")
-        }
+        accounting = re.search(
+            r"^zipf-bursty: (\d+) submitted = (\d+) responses \+ (\d+) "
+            r"explicit errors", out, re.M,
+        )
+        assert accounting, out
+        submitted, responses, errors = map(int, accounting.groups())
+        assert submitted == responses + errors > 0
+        channels = re.search(r"^zipf-bursty: (\d+) channels, ", out, re.M)
+        assert channels and int(channels.group(1)) > 0, out
+        rows = _load_table(out)
+        opened = {row[1] for row in rows if row[2] == "channel-open"}
+        messaged = {row[1] for row in rows if row[2] == "channel-message"}
+        assert opened and opened == messaged
+        assert all(float(row[5]) > 0 for row in rows)
 
     def test_load_cli_connect_drives_an_external_server(
         self, tmp_path, monkeypatch
@@ -722,7 +736,7 @@ class TestLoadHarness:
                     None, main, [
                         "load", "--connect", f"{host}:{port}",
                         "--schemes", "ceilidh-toy32,rsa-512",
-                        "--clients", "2", "--sessions", "2", "--no-emit",
+                        "--clients", "2", "--sessions", "2",
                     ],
                 )
                 return status, server.scheduler.stats.served, server.protocol_errors
@@ -732,3 +746,50 @@ class TestLoadHarness:
         assert served == 8  # 2 schemes x 2 clients x 2 sessions
         assert protocol_errors == 0
         assert not bench_file.exists()
+
+    def test_load_rejects_a_malformed_connect_before_any_socket(
+        self, monkeypatch, capsys
+    ):
+        """A ``--connect`` without a host or a valid port is a usage error:
+        exit 2 before the load command, which opens every socket, runs."""
+        from repro.serve import __main__ as cli
+
+        monkeypatch.setattr(
+            cli, "_run_load_command", lambda args: pytest.fail("load started")
+        )
+        for raw in ("65000", "localhost:", "localhost:99999", ":9876", "h:x"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["load", "--connect", raw])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:")
+            assert f"expected HOST:PORT, got {raw!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--schemes", "ceilidh-toy32,rsa-512", "--clients", "2"],
+            ["--mix", "zipf-bursty", "--clients", "2", "--sessions", "2"],
+            pytest.param(
+                ["--cluster", "2", "--schemes", "ceilidh-toy32", "--clients", "2"],
+                marks=needs_reuseport,
+            ),
+        ],
+        ids=["in-process", "mix", "cluster"],
+    )
+    def test_load_leaves_an_existing_bench_file_untouched(
+        self, argv, tmp_path, monkeypatch
+    ):
+        """``load`` checks and writes nothing: a bench file already at
+        ``$REPRO_BENCH_PATH`` keeps every byte."""
+        from repro.serve.__main__ import main
+
+        bench_file = tmp_path / "BENCH_pkc.json"
+        update_bench(bench_file, [PerfRecord(
+            scheme="ceilidh-170", operation="key-agreement", sessions=16,
+            wall_seconds=0.07, ops_per_second=234.0, ms_per_op=4.27,
+        )])
+        before = bench_file.read_bytes()
+        monkeypatch.setenv("REPRO_BENCH_PATH", str(bench_file))
+        assert main(["load", "--quick", *argv]) == 0
+        assert bench_file.read_bytes() == before

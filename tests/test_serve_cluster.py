@@ -15,6 +15,7 @@ throughout.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import os
 import pathlib
@@ -80,9 +81,27 @@ class TestClusterConfiguration:
 
         assert _parse_cluster_counts("4,2,4") == [1, 2, 4]
         assert _parse_cluster_counts("1, 3") == [1, 3]
-        for raw in ("", " , ", "0,2", "-1"):
-            with pytest.raises(SystemExit):
+        for raw in ("", " , ", "0,2", "-1", "x", "2,x"):
+            with pytest.raises(argparse.ArgumentTypeError):
                 _parse_cluster_counts(raw)
+
+    def test_load_rejects_a_malformed_cluster_before_any_process(
+        self, monkeypatch, capsys
+    ):
+        """A malformed ``load --cluster`` is a usage error: exit 2 before
+        the load command, which spawns every worker, runs."""
+        from repro.serve import __main__ as cli
+
+        monkeypatch.setattr(
+            cli, "_run_load_command", lambda args: pytest.fail("load started")
+        )
+        for raw in ("x", "2,x", "0,2", ","):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["load", "--cluster", raw])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:")
+            assert f"expected positive worker counts N[,N...], got {raw!r}" in err
 
     def test_preset_keys_pin_the_host_identity(self):
         """A SchemeHost built with preset keys serves them verbatim — the
@@ -214,77 +233,40 @@ class TestWorkerLifecycle:
 
 class TestClusterLoadCLI:
     @needs_reuseport
-    def test_cluster_sweep_emits_scaling_rows(self, tmp_path, monkeypatch, capsys):
-        from repro.perf import load_bench
+    def test_cluster_sweep_emits_scaling_rows(self, capsys):
+        """``load --cluster 2`` prints a 1-worker and a 2-worker row; the
+        2-worker row carries its efficiency, stated next to the core
+        count."""
         from repro.serve.__main__ import main
 
-        bench_file = tmp_path / "BENCH_cluster_test.json"
-        monkeypatch.setenv("REPRO_BENCH_PATH", str(bench_file))
-        monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
         status = main([
             "load", "--quick",
             "--cluster", "2",  # 1 is prepended as the efficiency reference
             "--schemes", "ceilidh-toy32",
             "--clients", "4",
         ])
+        out = capsys.readouterr().out
         assert status == 0
-        entries = load_bench(bench_file)
-        assert set(entries) == {
-            "serve-cluster:ceilidh-toy32:key-agreement@w1",
-            "serve-cluster:ceilidh-toy32:key-agreement@w2",
+        rows = {
+            fields[0]: fields
+            for fields in map(str.split, out.splitlines())
+            if fields[1:3] == ["ceilidh-toy32", "key-agreement"]
         }
-        single = entries["serve-cluster:ceilidh-toy32:key-agreement@w1"]
-        doubled = entries["serve-cluster:ceilidh-toy32:key-agreement@w2"]
-        assert single.meta["workers"] == 1
-        assert single.meta["scaling_efficiency"] is None
-        assert doubled.meta["workers"] == 2
-        assert doubled.meta["cpu_count"] == os.cpu_count()
-        assert all("mode" not in entry.meta for entry in entries.values())
-        assert doubled.meta["scaling_efficiency"] == pytest.approx(
-            doubled.ops_per_second / (2 * single.ops_per_second)
+        assert set(rows) == {"1", "2"}
+        single, doubled = rows["1"], rows["2"]
+        assert len(single) == 9  # the reference row has no efficiency
+        single_rate, doubled_rate, eff = (
+            float(single[5]), float(doubled[5]), float(doubled[9])
         )
-
-        # The perf CLI renders the dedicated scaling table for these rows.
-        from repro.perf.__main__ import main as perf_main
-
-        capsys.readouterr()
-        assert perf_main(["show", str(bench_file)]) == 0
-        shown = capsys.readouterr().out
-        assert "Cluster scaling" in shown
-        assert "efficiency" in shown
-
-    def test_compare_skips_serve_prefixes(self, tmp_path):
-        """The CI gate must never fail on serving rows: they are gated on
-        correctness at measurement time, not on throughput afterwards."""
-        import json
-
-        from repro.perf.__main__ import main as perf_main
-
-        def bench(path, ops):
-            payload = {
-                "schema": "repro-bench-v1",
-                "generated_unix": 0,
-                "entries": {
-                    "serve-cluster:x:key-agreement@w2": {
-                        "scheme": "serve-cluster:x",
-                        "operation": "key-agreement@w2",
-                        "sessions": 4,
-                        "wall_seconds": 1.0,
-                        "ops_per_second": ops,
-                        "ms_per_op": 1.0,
-                    }
-                },
-            }
-            path.write_text(json.dumps(payload))
-
-        current, baseline = tmp_path / "cur.json", tmp_path / "base.json"
-        bench(current, 10.0)   # 10x slower than baseline
-        bench(baseline, 100.0)
-        assert perf_main(["compare", str(current), str(baseline)]) == 1
-        assert perf_main([
-            "compare", str(current), str(baseline),
-            "--skip-prefix", "serve:", "--skip-prefix", "serve-cluster:",
-        ]) == 0
+        assert single_rate > 0 and doubled_rate > 0
+        assert eff == pytest.approx(doubled_rate / (2 * single_rate), abs=0.01)
+        assert f"measured on {os.cpu_count() or 1} core(s)" in out
+        for tag in ("[1 workers]", "[2 workers]"):
+            assert re.search(
+                rf"^ceilidh-toy32:key-agreement {re.escape(tag)}: (\d+) "
+                rf"submitted = \1 responses \+ 0 explicit errors",
+                out, re.M,
+            ), out
 
 
 @needs_reuseport
