@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 
+from repro.exp import expected_counts
 from repro.montgomery.domain import MontgomeryDomain
 from repro.montgomery.fios import fios_trace
 from repro.soc.engine import ModularEngine
 from repro.soc.system import Platform, PlatformConfig
-from repro.torus.exponentiation import multiplication_counts
 from repro.torus.params import CEILIDH_170
 
 
@@ -54,7 +54,7 @@ def bench_exponentiation_strategy_ablation(benchmark, platform, record_table):
     def sweep():
         rows = []
         for strategy in ("binary", "naf", "window4", "wnaf4", "sliding4"):
-            counts = multiplication_counts(170, strategy)
+            counts = expected_counts(strategy.rstrip("4"), 170, window_bits=4)
             cycles = model.exponentiation_cycles(
                 sequence.type_b_cycles, counts.squarings, counts.multiplications
             )

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 
+from repro.exp import expected_counts
 from repro.field.opcount import CountingPrimeField
 from repro.torus.ceilidh import CeilidhSystem
 from repro.torus.encoding import compressed_size_bytes
-from repro.torus.exponentiation import multiplication_counts
 from repro.torus.params import CEILIDH_170, get_parameters
 from repro.xtr.keyagreement import XtrSystem
 from repro.xtr.trace import XtrContext
@@ -29,7 +29,7 @@ def bench_ceilidh_vs_xtr_operation_counts(benchmark, record_table):
     """Bandwidth and Fp-operation counts per 170-bit exponentiation."""
     def analyse():
         exponent_bits = 170
-        ceilidh_counts = multiplication_counts(exponent_bits, "binary")
+        ceilidh_counts = expected_counts("binary", exponent_bits)
         ceilidh_fp_muls = 18 * ceilidh_counts.total
         xtr_fp2_muls = XtrContext(CEILIDH_170).ladder_multiplication_count(exponent_bits)
         xtr_fp_muls = 3 * xtr_fp2_muls  # Karatsuba Fp2 multiplication = 3 Fp products

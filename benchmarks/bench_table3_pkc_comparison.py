@@ -20,9 +20,9 @@ import random
 
 from repro.analysis.tables import TABLE3_SCHEMES, table3, table3_profiles
 from repro.ecc.curves import SECP160R1
-from repro.ecc.scalar import scalar_mult_binary
+from repro.ecc.scalar import scalar_mult
 from repro.montgomery.domain import MontgomeryDomain
-from repro.montgomery.exponent import montgomery_exponent
+from repro.montgomery.exponent import montgomery_power
 from repro.soc.system import default_rsa_modulus
 from repro.torus.params import CEILIDH_170
 from repro.torus.t6 import T6Group
@@ -110,7 +110,7 @@ def bench_rsa_exponentiation_software(benchmark):
     rng = random.Random(6)
     base = rng.randrange(modulus)
     exponent = rng.getrandbits(1024)
-    result = benchmark(montgomery_exponent, domain, base, exponent)
+    result = benchmark(montgomery_power, domain, base, exponent, strategy="binary")
     assert result == pow(base, exponent, modulus)
 
 
@@ -118,5 +118,5 @@ def bench_ecc_scalar_multiplication_software(benchmark):
     """Pure-software 160-bit scalar multiplication (the paper's 9.4 ms operation)."""
     _, generator = SECP160R1.build()
     scalar = random.Random(7).getrandbits(160)
-    result = benchmark(scalar_mult_binary, generator, scalar)
+    result = benchmark(scalar_mult, generator, scalar, "binary")
     assert not result.is_infinity()

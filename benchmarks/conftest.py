@@ -83,21 +83,17 @@ def pytest_sessionfinish(session, exitstatus):
     * a failed run (including one the regression gate itself failed) never
       overwrites the file — otherwise the gate would erase its own
       reference and pass on the next run;
-    * ``--quick`` smoke numbers (tiny, noisy workloads) are kept out of
-      the baseline unless ``REPRO_BENCH_WRITE_QUICK`` is set, which the CI
-      smoke job does so its uploaded artifact reflects the fresh run.
+    * a ``--quick`` run (tiny, noisy workloads, best of 3 with no spread)
+      never writes it; its numbers are in ``results/perf_tracking.json``.
     """
-    import os
-
     if not _PERF_RECORDS:
         return
     records, _PERF_RECORDS[:] = list(_PERF_RECORDS), []
     if exitstatus != 0:
         print("\nperf trajectory NOT updated (run failed)")
         return
-    quick = session.config.getoption("--quick", default=False)
-    if quick and not os.environ.get("REPRO_BENCH_WRITE_QUICK"):
-        print("\nperf trajectory NOT updated (--quick; set REPRO_BENCH_WRITE_QUICK=1 to force)")
+    if session.config.getoption("--quick", default=False):
+        print("\nperf trajectory NOT updated (--quick)")
         return
     path = bench_path(REPO_ROOT)
     update_bench(path, records)

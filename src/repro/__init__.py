@@ -21,9 +21,9 @@ multicore FPGA coprocessor.  This package rebuilds the whole stack in Python:
   ``"xtr-170"``) with uniform Table 3 profiling and batched serving runs,
 * :mod:`repro.serve` — the online serving layer: an asyncio TCP server
   speaking a framed wire protocol over the registry schemes, a batching
-  request scheduler with bounded-queue backpressure and thread/process
-  worker pools, and a concurrent load-generator client
-  (``python -m repro.serve serve|load``),
+  request scheduler with bounded admission and one crypto thread, a
+  multi-process cluster sharing one port, and a concurrent load-generator
+  client (``python -m repro.serve serve|cluster|load``),
 * :mod:`repro.soc` — the cycle-accurate platform simulator (7-instruction
   cores, single-port DataRAM, Type-A/Type-B hierarchies, MicroBlaze interface
   cost model, area model),

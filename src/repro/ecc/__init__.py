@@ -4,22 +4,13 @@ The paper's platform also runs 160-bit prime-field ECC: point addition and
 doubling are level-2 sequences of the same modular multiplications and
 additions used by the torus, and a scalar multiplication is the level-1 loop
 driving them.  This package provides the reference group arithmetic (affine
-and Jacobian), scalar multiplication strategies, named curves with full
-self-validation and toy curves for exhaustive testing.
+and Jacobian), scalar multiplication on the unified engine, named curves
+with full self-validation and toy curves for exhaustive testing.
 """
 
 from repro.ecc.curve import WeierstrassCurve
 from repro.ecc.point import AffinePoint, JacobianPoint, INFINITY
-from repro.ecc.scalar import (
-    ScalarMultCount,
-    double_scalar_mult,
-    scalar_mult,
-    scalar_mult_binary,
-    scalar_mult_naf,
-    scalar_mult_wnaf,
-    scalar_mult_ladder,
-    scalar_mult_window,
-)
+from repro.ecc.scalar import double_scalar_mult, scalar_mult
 from repro.ecc.curves import (
     NamedCurve,
     NAMED_CURVES,
@@ -35,13 +26,7 @@ __all__ = [
     "AffinePoint",
     "JacobianPoint",
     "INFINITY",
-    "ScalarMultCount",
     "scalar_mult",
-    "scalar_mult_binary",
-    "scalar_mult_naf",
-    "scalar_mult_wnaf",
-    "scalar_mult_ladder",
-    "scalar_mult_window",
     "double_scalar_mult",
     "NamedCurve",
     "NAMED_CURVES",

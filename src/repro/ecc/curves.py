@@ -23,7 +23,7 @@ from repro.field.fp import PrimeField
 from repro.nt.primality import is_probable_prime
 from repro.ecc.curve import WeierstrassCurve
 from repro.ecc.point import AffinePoint
-from repro.ecc.scalar import scalar_mult_binary
+from repro.ecc.scalar import scalar_mult
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def validate_named_curve(named: NamedCurve) -> None:
     trace = named.p + 1 - named.order * named.cofactor
     if trace * trace > 4 * named.p:
         raise ParameterError(f"{named.name}: order violates the Hasse bound")
-    if not scalar_mult_binary(generator, named.order).is_infinity():
+    if not scalar_mult(generator, named.order, "binary").is_infinity():
         raise ParameterError(f"{named.name}: order * G is not the identity")
 
 
@@ -163,10 +163,10 @@ def generate_toy_curve(
         for _ in range(200):
             x, y = curve.random_point(rng)
             point = AffinePoint(curve, x, y)
-            candidate = scalar_mult_binary(point, cofactor)
+            candidate = scalar_mult(point, cofactor, "binary")
             if candidate.is_infinity():
                 continue
-            if scalar_mult_binary(candidate, largest).is_infinity():
+            if scalar_mult(candidate, largest, "binary").is_infinity():
                 return NamedCurve(
                     name=f"toy-{p}",
                     p=p,

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.audit.annotations import Secret
 from repro.errors import ParameterError, SignatureError
-from repro.exp.trace import ScalarMultCount
+from repro.exp.trace import OpTrace
 from repro.nt.modular import modinv
 from repro.nt.sampling import resolve_rng, sample_exponent
 from repro.ecc.curves import NamedCurve
@@ -46,7 +46,7 @@ class EcdhKeyPair:
 def ecdh_generate(
     named: NamedCurve,
     rng: Optional[random.Random] = None,
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
 ) -> EcdhKeyPair:
     """Generate a key pair on a named curve.
 
@@ -63,7 +63,7 @@ def ecdh_generate(
 def ecdh_shared_secret(
     own: EcdhKeyPair,
     peer_public: AffinePoint,
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
 ) -> bytes:
     """X-coordinate of the shared point (plain), fixed width big-endian."""
     shared = scalar_mult(peer_public, own.private, count=count)
@@ -76,7 +76,7 @@ def ecdh_shared_secret(
 def ecdh_shared_secret_many(
     own: EcdhKeyPair,
     peer_publics,
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
 ) -> "list[bytes]":
     """:func:`ecdh_shared_secret` against N peers, batching the inversions.
 
@@ -101,7 +101,7 @@ def ecdh_shared_secret_many(
 def ecdh_shared_secret_with_many(
     owns,
     peer_public: AffinePoint,
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
 ) -> "list[bytes]":
     """Shared secrets of N own keys against **one** peer point.
 
@@ -139,9 +139,9 @@ def ecdsa_sign(
     own: EcdhKeyPair,
     message: bytes,
     rng: Optional[random.Random] = None,
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
     generator: Optional[AffinePoint] = None,
-    generator_power: Optional[Callable[[int, Optional[ScalarMultCount]], AffinePoint]] = None,
+    generator_power: Optional[Callable[[int, Optional[OpTrace]], AffinePoint]] = None,
 ) -> Tuple[int, int]:
     """ECDSA signature (r, s) with a SHA-256 message digest.
 
@@ -156,7 +156,7 @@ def ecdsa_sign(
             _, generator = named.build()
         base = generator
 
-        def wnaf_power(k: int, count: Optional[ScalarMultCount]) -> AffinePoint:
+        def wnaf_power(k: int, count: Optional[OpTrace]) -> AffinePoint:
             return scalar_mult(base, k, count=count)
 
         generator_power = wnaf_power
@@ -179,7 +179,7 @@ def ecdsa_verify(
     public: AffinePoint,
     message: bytes,
     signature: Tuple[int, int],
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
     generator: Optional[AffinePoint] = None,
 ) -> bool:
     """Verify an ECDSA signature."""

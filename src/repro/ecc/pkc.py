@@ -44,7 +44,7 @@ from repro.ecc.ecdh import (
 )
 from repro.ecc.encoding import decode_point, encode_point, point_size_bytes
 from repro.ecc.point import AffinePoint, to_affine_many
-from repro.ecc.scalar import scalar_mult_binary
+from repro.ecc.scalar import scalar_mult
 
 __all__ = ["EcdhScheme"]
 
@@ -272,8 +272,8 @@ class EcdhScheme(PkcScheme):
 
     def headline_exponentiation(self, trace: OpTrace) -> None:
         """One double-and-add scalar multiplication (the 9.4 ms row)."""
-        scalar_mult_binary(
-            self._generator, canonical_exponent(self.curve.order.bit_length()), count=trace
+        scalar_mult(
+            self._generator, canonical_exponent(self.curve.order.bit_length()), "binary", trace
         )
 
     def platform_cycles_per_operation(self, platform) -> Tuple[int, int]:

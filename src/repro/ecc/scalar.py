@@ -1,13 +1,14 @@
-"""Scalar multiplication strategies — thin wrappers over :mod:`repro.exp`.
+"""Scalar multiplication on the unified engine :mod:`repro.exp`.
 
 The paper's 160-bit ECC timing uses the plain double-and-add loop over
 Jacobian coordinates (Table 3: ~160 doublings + ~80 additions at the Type-B
-cost of Table 2).  All strategies now run on the unified engine with the
-Jacobian group adapter; point negation is free, so the engine's default is
-wNAF (~n/5 additions instead of n/2), and Shamir double-scalar
-multiplication backs ECDSA-style ``u1*G + u2*Q`` verification.  Counts are
-emitted as the unified :class:`~repro.exp.trace.OpTrace`, with the
-historical ``ScalarMultCount`` name kept as an additive-vocabulary subclass.
+cost of Table 2).  Every strategy runs on the unified engine with the
+Jacobian group adapter, reached through :func:`scalar_mult` and a strategy
+name; point negation is free, so the engine's default is wNAF (~n/5
+additions instead of n/2), and Shamir double-scalar multiplication backs
+ECDSA-style ``u1*G + u2*Q`` verification.  Counts are emitted as the
+unified :class:`~repro.exp.trace.OpTrace`: a doubling is a squaring, a
+point addition a multiplication.
 """
 
 from __future__ import annotations
@@ -23,19 +24,13 @@ from repro.exp.strategies import (
     exponentiate_many as _exponentiate_many,
     exponentiate_shared_base as _exponentiate_shared_base,
 )
-from repro.exp.trace import ScalarMultCount
+from repro.exp.trace import OpTrace
 from repro.ecc.point import INFINITY, AffinePoint
 
 __all__ = [
-    "ScalarMultCount",
     "scalar_mult",
     "scalar_mult_many",
     "scalar_mult_shared_point",
-    "scalar_mult_binary",
-    "scalar_mult_naf",
-    "scalar_mult_wnaf",
-    "scalar_mult_window",
-    "scalar_mult_ladder",
     "double_scalar_mult",
 ]
 
@@ -44,25 +39,12 @@ SCALAR_STRATEGIES = ("auto", "binary", "naf", "wnaf", "sliding", "window", "ladd
 
 
 def _run(
-    point: AffinePoint,
-    scalar: int,
-    strategy: str,
-    count: Optional[ScalarMultCount],
-    window_bits: Optional[int] = None,
+    point: AffinePoint, scalar: int, strategy: str, count: Optional[OpTrace]
 ) -> AffinePoint:
-    if window_bits is not None:
-        check_window_bits(window_bits)  # reject bad widths even for trivial scalars
     if scalar == 0 or point.is_infinity():
         return INFINITY
     group = JacobianExpGroup(point.curve)
-    result = _exponentiate(
-        group,
-        point.to_jacobian(),
-        scalar,
-        strategy=strategy,
-        trace=count,
-        window_bits=window_bits,
-    )
+    result = _exponentiate(group, point.to_jacobian(), scalar, strategy=strategy, trace=count)
     return result.to_affine()
 
 
@@ -70,7 +52,7 @@ def scalar_mult_many(
     points,
     scalars,
     strategy: str = "auto",
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
     window_bits: Optional[int] = None,
 ) -> "list[AffinePoint]":
     """N same-curve scalar multiplications sharing ONE affine conversion.
@@ -120,7 +102,7 @@ def scalar_mult_shared_point(
     point: AffinePoint,
     scalars,
     strategy: str = "auto",
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
     window_bits: Optional[int] = None,
 ) -> "list[AffinePoint]":
     """One point, many scalars — the coalesced client phase on a curve.
@@ -157,56 +139,12 @@ def scalar_mult_shared_point(
     return results
 
 
-def scalar_mult_binary(
-    point: AffinePoint, scalar: int, count: Optional[ScalarMultCount] = None
-) -> AffinePoint:
-    """Left-to-right double-and-add in Jacobian coordinates (paper's strategy)."""
-    return _run(point, scalar, "binary", count)
-
-
-def scalar_mult_naf(
-    point: AffinePoint, scalar: int, count: Optional[ScalarMultCount] = None
-) -> AffinePoint:
-    """Signed-digit (NAF) double-and-add: ~n/3 additions instead of n/2."""
-    return _run(point, scalar, "naf", count)
-
-
-def scalar_mult_wnaf(
-    point: AffinePoint,
-    scalar: int,
-    window_bits: Optional[int] = None,
-    count: Optional[ScalarMultCount] = None,
-) -> AffinePoint:
-    """Width-w NAF with an odd-multiple table: ~n/(w+1) additions.
-
-    The default fast path — point negation is free, so the signed digits
-    cost nothing beyond the table."""
-    return _run(point, scalar, "wnaf", count, window_bits)
-
-
-def scalar_mult_window(
-    point: AffinePoint,
-    scalar: int,
-    window_bits: int = 4,
-    count: Optional[ScalarMultCount] = None,
-) -> AffinePoint:
-    """Fixed-window scalar multiplication with a 2^w-entry table."""
-    return _run(point, scalar, "window", count, window_bits)
-
-
-def scalar_mult_ladder(
-    point: AffinePoint, scalar: int, count: Optional[ScalarMultCount] = None
-) -> AffinePoint:
-    """Montgomery ladder over Jacobian coordinates (regular operation pattern)."""
-    return _run(point, scalar, "ladder", count)
-
-
 def double_scalar_mult(
     point_a: AffinePoint,
     scalar_a: int,
     point_b: AffinePoint,
     scalar_b: int,
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
 ) -> AffinePoint:
     """Shamir/Straus simultaneous multiplication ``a*P + b*Q``.
 
@@ -235,7 +173,7 @@ def scalar_mult(
     point: AffinePoint,
     scalar: int,
     strategy: str = "auto",
-    count: Optional[ScalarMultCount] = None,
+    count: Optional[OpTrace] = None,
 ) -> AffinePoint:
     """Dispatch on the strategy name (auto, binary, naf, wnaf, sliding, window, ladder).
 

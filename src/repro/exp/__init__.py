@@ -11,10 +11,12 @@ exponentiation loop over some group.  This package provides that loop once:
   sliding window, fixed window, Montgomery ladder, fixed-base tables and
   Shamir double exponentiation) behind :func:`exponentiate`,
 * :mod:`repro.exp.trace` — the single :class:`OpTrace` tally all strategies
-  emit, which the per-layer counting dataclasses now subclass.
+  emit.
 
-The per-layer public functions (``exponentiate_binary``, ``scalar_mult_*``,
-``montgomery_exponent`` ...) remain available as thin wrappers.
+Each layer reaches the loop through one call that takes a strategy name:
+:meth:`repro.torus.t6.T6Group.exponentiate`,
+:func:`repro.ecc.scalar.scalar_mult` and
+:func:`repro.montgomery.exponent.montgomery_power`.
 """
 
 from repro.exp.group import (

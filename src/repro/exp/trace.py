@@ -1,16 +1,10 @@
-"""The unified operation trace emitted by every exponentiation strategy.
+"""The one operation tally emitted by every exponentiation strategy.
 
 The paper's cost story reduces torus exponentiation, RSA and ECC scalar
-multiplication to the same shape — a loop of group squarings/doublings and
-general multiplications/additions — so one tally type serves all of them.
-:class:`OpTrace` replaces the three historical per-layer dataclasses
-(``ExponentiationCount`` on the torus, ``ExponentiationTrace`` in the
-Montgomery domain, ``ScalarMultCount`` on curves), which survive as thin
-subclasses for backwards compatibility.
-
-For additive groups (elliptic curves) the same counters are readable and
-writable under the names ``doublings`` / ``additions``; a squaring *is* a
-doubling, a general multiplication *is* a point addition.
+multiplication to the same shape — a loop of group squarings and general
+multiplications — so one tally type, :class:`OpTrace`, serves all of them.
+On elliptic curves a squaring is a point doubling and a multiplication a
+point addition.
 """
 
 from __future__ import annotations
@@ -35,26 +29,6 @@ class OpTrace:
     squarings: int = 0
     multiplications: int = 0
     inversions: int = 0
-
-    # -- additive-notation aliases (ECC vocabulary) -------------------------
-
-    @property
-    def doublings(self) -> int:
-        """Alias of :attr:`squarings` for additively-written groups."""
-        return self.squarings
-
-    @doublings.setter
-    def doublings(self, value: int) -> None:
-        self.squarings = value
-
-    @property
-    def additions(self) -> int:
-        """Alias of :attr:`multiplications` for additively-written groups."""
-        return self.multiplications
-
-    @additions.setter
-    def additions(self, value: int) -> None:
-        self.multiplications = value
 
     # -- aggregate views ----------------------------------------------------
 
@@ -120,19 +94,3 @@ class OpTrace:
             out = out + inv_cost.scaled(self.inversions)
         return out
 
-
-class ExponentiationCount(OpTrace):
-    """Backwards-compatible torus-layer name for :class:`OpTrace`."""
-
-
-class ExponentiationTrace(OpTrace):
-    """Backwards-compatible Montgomery-layer name for :class:`OpTrace`."""
-
-
-class ScalarMultCount(OpTrace):
-    """Backwards-compatible ECC-layer name; constructed in additive terms."""
-
-    def __init__(self, doublings: int = 0, additions: int = 0, inversions: int = 0):
-        super().__init__(
-            squarings=doublings, multiplications=additions, inversions=inversions
-        )

@@ -105,18 +105,6 @@ class WordOpStream:
         """Modular multiplications + additions + subtractions."""
         return self.modular_mults + self.modular_adds + self.modular_subs
 
-    @property
-    def final_subtraction_rate(self) -> float:
-        """Fraction of Montgomery products that needed the final subtraction.
-
-        For uniformly random residents this sits near ``p / (4R)``; the rate
-        being input-dependent is precisely the timing side channel the
-        constant-time variants in :mod:`repro.montgomery.variants` close.
-        """
-        if not self.modular_mults:
-            return 0.0
-        return self.final_subtractions / self.modular_mults
-
     def reset(self) -> None:
         self.modular_mults = self.modular_adds = self.modular_subs = 0
         self.inversions = self.word_mults = self.word_adds = 0
@@ -132,10 +120,6 @@ class WordOpStream:
             "word_adds": self.word_adds,
             "final_subtractions": self.final_subtractions,
         }
-
-
-def _identity(x: int) -> int:
-    return x
 
 
 class FieldOps:

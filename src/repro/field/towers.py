@@ -178,10 +178,6 @@ class TowerFp6:
 
         return exponentiate(self.exp_group(), u, e, strategy=strategy, trace=trace)
 
-    def frobenius_p3(self, u: TowerElement) -> TowerElement:
-        """The Frobenius of Fp6 over Fp3 (same as conjugation over Fp3)."""
-        return u.conjugate()
-
 
 class F1ToF2Map:
     """The isomorphism tau: F1 -> F2 and its inverse (Fig. 1's tau, tau^-1).

@@ -20,13 +20,7 @@ from repro.montgomery.fios import (
 )
 from repro.montgomery.variants import sos_multiply, cios_multiply
 from repro.montgomery.parallel import ParallelFiosSchedule, parallel_fios_multiply
-from repro.montgomery.exponent import (
-    ExponentiationTrace,
-    montgomery_exponent,
-    montgomery_ladder_exponent,
-    montgomery_power,
-    montgomery_window_exponent,
-)
+from repro.montgomery.exponent import montgomery_power
 
 __all__ = [
     "MontgomeryDomain",
@@ -39,9 +33,5 @@ __all__ = [
     "cios_multiply",
     "ParallelFiosSchedule",
     "parallel_fios_multiply",
-    "ExponentiationTrace",
     "montgomery_power",
-    "montgomery_exponent",
-    "montgomery_ladder_exponent",
-    "montgomery_window_exponent",
 ]

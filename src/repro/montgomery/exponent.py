@@ -1,13 +1,12 @@
-"""Modular exponentiation in the Montgomery domain — wrappers over :mod:`repro.exp`.
+"""Modular exponentiation in the Montgomery domain on :mod:`repro.exp`.
 
 RSA on the platform is a loop of 1024-bit Montgomery multiplications
-(Section 3.2); the loop itself now lives in the unified exponentiation
-engine, with :class:`~repro.exp.group.MontgomeryExpGroup` supplying the
-Montgomery product as the group operation.  The historical helpers keep
-their signatures (binary reference, constant-time ladder, fixed window)
-and :func:`montgomery_power` exposes the full strategy registry — the
-engine's sliding-window default saves ~30% of the multiplications at
-RSA sizes.
+(Section 3.2); the loop itself lives in the unified exponentiation engine,
+with :class:`~repro.exp.group.MontgomeryExpGroup` supplying the Montgomery
+product as the group operation.  :func:`montgomery_power` is the one call:
+it takes any strategy name of the engine's registry (binary reference,
+constant-time ladder, fixed window, ...), and its sliding-window default
+saves ~30% of the multiplications at RSA sizes.
 """
 
 from __future__ import annotations
@@ -17,17 +16,10 @@ from typing import Optional
 from repro.errors import ParameterError
 from repro.exp.group import MontgomeryExpGroup
 from repro.exp.strategies import check_window_bits, exponentiate, exponentiate_many
-from repro.exp.trace import ExponentiationTrace, OpTrace
+from repro.exp.trace import OpTrace
 from repro.montgomery.domain import MontgomeryDomain
 
-__all__ = [
-    "ExponentiationTrace",
-    "montgomery_power",
-    "montgomery_power_many",
-    "montgomery_exponent",
-    "montgomery_ladder_exponent",
-    "montgomery_window_exponent",
-]
+__all__ = ["montgomery_power", "montgomery_power_many"]
 
 
 def montgomery_power(
@@ -118,35 +110,3 @@ def montgomery_power_many(
             results[i] = domain.from_montgomery(resident)
     return results
 
-
-def montgomery_exponent(
-    domain: MontgomeryDomain,
-    base: int,
-    exponent: int,
-    trace: Optional[ExponentiationTrace] = None,
-) -> int:
-    """Left-to-right binary exponentiation: returns ``base^exponent mod P``."""
-    return montgomery_power(domain, base, exponent, strategy="binary", trace=trace)
-
-
-def montgomery_ladder_exponent(
-    domain: MontgomeryDomain,
-    base: int,
-    exponent: int,
-    trace: Optional[ExponentiationTrace] = None,
-) -> int:
-    """Montgomery-ladder exponentiation (regular operation pattern)."""
-    return montgomery_power(domain, base, exponent, strategy="ladder", trace=trace)
-
-
-def montgomery_window_exponent(
-    domain: MontgomeryDomain,
-    base: int,
-    exponent: int,
-    window_bits: int = 4,
-    trace: Optional[ExponentiationTrace] = None,
-) -> int:
-    """Fixed-window exponentiation with a 2^w-entry table."""
-    return montgomery_power(
-        domain, base, exponent, strategy="window", trace=trace, window_bits=window_bits
-    )

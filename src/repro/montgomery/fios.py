@@ -80,10 +80,6 @@ class FiosBatchStats:
         if trace.final_subtraction:
             self.final_subtractions += 1
 
-    def record_all(self, traces: Iterable[FiosTrace]) -> None:
-        for trace in traces:
-            self.record(trace)
-
     @property
     def rate(self) -> float:
         """Fraction of products that needed the final subtraction."""

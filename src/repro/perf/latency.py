@@ -66,10 +66,6 @@ class LatencyHistogram:
         return len(self._samples)
 
     @property
-    def total_seconds(self) -> float:
-        return sum(self._samples)
-
-    @property
     def mean_seconds(self) -> float:
         return sum(self._samples) / len(self._samples) if self._samples else 0.0
 

@@ -36,11 +36,12 @@ __all__ = ["register_scheme", "get_scheme", "available_schemes"]
 _FACTORIES: Dict[str, Callable[..., PkcScheme]] = {}
 _INSTANCES: Dict[Tuple[str, str], PkcScheme] = {}
 
-#: One lock guards both caches.  The serving layer's thread pool resolves
-#: schemes from worker threads concurrently with the event loop; without the
-#: lock two threads could construct (and then diverge on) separate "cached"
-#: instances of the same scheme, splitting the amortised fixed-base tables
-#: and long-lived key material the cache exists to share.  Construction
+#: One lock guards both caches.  The serving layer resolves schemes from
+#: its crypto thread and from HELLO's executor keygen concurrently with the
+#: event loop; without the lock two threads could construct (and then
+#: diverge on) separate "cached" instances of the same scheme, splitting the
+#: amortised fixed-base tables and long-lived key material the cache exists
+#: to share.  Construction
 #: happens inside the lock: factories are cheap (expensive state like RSA
 #: key material is generated lazily on first use, not at construction).
 _REGISTRY_LOCK = threading.RLock()

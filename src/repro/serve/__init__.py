@@ -16,8 +16,9 @@ registry → **serve**): everything the offline harness measures with
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio TCP
   server and the verifying client (one connection, full sessions);
 * ``python -m repro.serve serve|cluster|load`` — run a server or cluster,
-  or drive one through the traffic engine (:mod:`repro.traffic`) and land
-  throughput + latency percentiles in ``BENCH_pkc.json``.
+  or drive one through the traffic engine (:mod:`repro.traffic`) as a
+  correctness gate that prints throughput + latency percentiles and
+  writes no file.
 
 This module keeps its imports light (protocol + session only); the server,
 client and scheduler — which pull in the whole PKC stack — load lazily on

@@ -28,8 +28,10 @@ raises), when any run broke the accounting identity (submitted = responses
 or when its batched ceilidh-170 key-agreement throughput in a
 ``--schemes`` run fell below ``--min-ratio`` (default 0.8) of the offline
 ``run_batch`` baseline measured in the same process.  A malformed
-``--connect`` or ``--cluster`` is a usage error (status 2) before any
-socket or process starts.
+``--connect`` or ``--cluster``, both of them at once, or a count below 1
+(``--clients``, ``--sessions``, ``--workers``, ``--max-batch``,
+``--queue-size``) is a usage error (status 2) before any socket or
+process starts.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ Efficiency = Dict[Tuple[int, str], float]
 def _add_server_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
                         help="field backend (default: $REPRO_FIELD_BACKEND or plain)")
-    parser.add_argument("--max-batch", type=int, default=32,
+    parser.add_argument("--max-batch", type=_positive_int, default=32,
                         help="largest same-scheme batch the crypto thread executes")
-    parser.add_argument("--queue-size", type=int, default=256,
+    parser.add_argument("--queue-size", type=_positive_int, default=256,
                         help="accepted requests that may await an answer; "
                              "past it a request is answered OP_OVERLOADED")
 
@@ -91,40 +93,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--host", default="127.0.0.1")
     cluster.add_argument("--port", type=int, default=9876)
-    cluster.add_argument("--workers", type=int, default=2,
+    cluster.add_argument("--workers", type=_positive_int, default=2,
                          help="worker processes sharing the port (default: 2)")
     cluster.add_argument("--schemes", default=None,
                          help="comma-separated allowlist (default: whole registry)")
     cluster.add_argument("--backend", default=None,
                          help="field backend (default: $REPRO_FIELD_BACKEND or plain)")
-    cluster.add_argument("--max-batch", type=int, default=32,
+    cluster.add_argument("--max-batch", type=_positive_int, default=32,
                          help="largest same-scheme batch a worker's crypto "
                               "thread executes")
-    cluster.add_argument("--queue-size", type=int, default=256,
+    cluster.add_argument("--queue-size", type=_positive_int, default=256,
                          help="accepted requests per worker that may await an "
                               "answer; past it a request is answered OP_OVERLOADED")
 
     load = commands.add_parser("load", help="drive a server with concurrent clients")
-    load.add_argument("--connect", type=_parse_host_port, default=None,
-                      metavar="HOST:PORT",
-                      help="load an external server (default: boot one in-process)")
+    target = load.add_mutually_exclusive_group()
+    target.add_argument("--connect", type=_parse_host_port, default=None,
+                        metavar="HOST:PORT",
+                        help="load an external server (default: boot one in-process)")
     load.add_argument("--schemes", default=",".join(HEADLINE_SCHEMES),
                       help="comma-separated mix (default: the four headline schemes)")
-    load.add_argument("--clients", type=int, default=8,
+    load.add_argument("--clients", type=_positive_int, default=8,
                       help="concurrent client connections (default: 8)")
-    load.add_argument("--sessions", type=int, default=None,
+    load.add_argument("--sessions", type=_positive_int, default=None,
                       help="sessions per client per mix (default: 16, quick: 2; "
                            "with --mix: 12, quick: 4)")
     load.add_argument("--quick", action="store_true",
                       help="smoke mode: minimal sessions, still >= 8 concurrent clients")
     load.add_argument("--min-ratio", type=float, default=0.8,
                       help="gate: serve/offline ceilidh-170 throughput floor")
-    load.add_argument("--cluster", type=_parse_cluster_counts, default=None,
-                      metavar="N[,N...]",
-                      help="scaling sweep: run the mixes against a fresh cluster at "
-                           "each worker count (1 is prepended as the efficiency "
-                           "reference) and print each count's efficiency next to "
-                           "the core count")
+    target.add_argument("--cluster", type=_parse_cluster_counts, default=None,
+                        metavar="N[,N...]",
+                        help="scaling sweep: run the mixes against a fresh cluster at "
+                             "each worker count (1 is prepended as the efficiency "
+                             "reference) and print each count's efficiency next to "
+                             "the core count")
     load.add_argument("--mix", default=None, metavar="NAME",
                       help="drive a seeded traffic-model mix (zipf popularity, "
                            "bursty arrivals, secure channels) instead of one "
@@ -160,6 +163,17 @@ def _offline_baseline(sessions: int, backend: Optional[str]) -> float:
     result = run_batch(BASELINE_SCHEME, BASELINE_OPERATION, sessions,
                        collect_ops=False, backend=backend)
     return result.sessions_per_second
+
+
+def _positive_int(raw: str) -> int:
+    """A count of at least 1, checked before any socket or process starts."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
 
 
 def _parse_host_port(raw: str) -> Tuple[str, int]:
@@ -239,8 +253,6 @@ async def _run_load_command(args) -> int:
         mixes = _scheme_mixes(names, args.backend)
         default_sessions = 2 if args.quick else 16
     sessions = args.sessions if args.sessions is not None else default_sessions
-    if args.cluster and args.connect:
-        raise SystemExit("--cluster boots its own workers; drop --connect")
     counts = args.cluster or [0]
     schemes = tuple(dict.fromkeys(
         scheme for mix in mixes for scheme in mix.schemes

@@ -351,7 +351,7 @@ class ServerChannel:
 
 @dataclass
 class ChannelTableStats:
-    """Serving counters for the channel layer, reported in BENCH meta."""
+    """Serving counters for the channel layer (``ServeServer.channels.stats``)."""
 
     opened: int = 0
     closed: int = 0

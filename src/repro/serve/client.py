@@ -383,10 +383,6 @@ class ChannelSession:
         #: Same for a quota-refused rekey: ``(secret, sealed kex record)``.
         self._pending_rekey: Optional[Tuple[bytes, bytes]] = None
 
-    @property
-    def is_open(self) -> bool:
-        return self.crypto is not None
-
     def _fresh_channel_id(self) -> bytes:
         if self.rng is not None:
             return self.rng.randbytes(CHANNEL_ID_LEN)

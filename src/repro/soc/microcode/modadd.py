@@ -95,9 +95,6 @@ class _SingleCoreRoutine:
     def _emit_tail(self, program: CoreProgram) -> None:
         raise NotImplementedError
 
-    def _tail_condition(self, carry_flag: int, a: int, b: int, modulus: int) -> bool:
-        raise NotImplementedError
-
     # -- common cycle accounting -------------------------------------------------
 
     def fast_path_cycles(self) -> int:

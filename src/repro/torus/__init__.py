@@ -3,7 +3,8 @@
 This is the paper's primary contribution layer: arithmetic in the torus
 T6(Fp) (the subgroup of Fp6* of order Phi_6(p) = p^2 - p + 1), the
 Rubin-Silverberg style compression of torus elements to two Fp values
-(factor-3 bandwidth compression), exponentiation strategies, parameter
+(factor-3 bandwidth compression), exponentiation through the unified
+engine (:meth:`T6Group.exponentiate` takes the strategy name), parameter
 generation, and the CEILIDH protocols built on top (Diffie-Hellman key
 agreement, hashed-ElGamal encryption and Schnorr-style signatures).
 """
@@ -16,17 +17,6 @@ from repro.torus.params import (
 )
 from repro.torus.t6 import T6Group, TorusElement
 from repro.torus.compression import TorusCompressor, CompressedElement
-from repro.torus.exponentiation import (
-    ExponentiationCount,
-    exponentiate_binary,
-    exponentiate_double,
-    exponentiate_ladder,
-    exponentiate_naf,
-    exponentiate_sliding,
-    exponentiate_window,
-    exponentiate_wnaf,
-    multiplication_counts,
-)
 from repro.torus.ceilidh import (
     CeilidhKeyPair,
     CeilidhSystem,
@@ -50,15 +40,6 @@ __all__ = [
     "TorusElement",
     "TorusCompressor",
     "CompressedElement",
-    "ExponentiationCount",
-    "exponentiate_binary",
-    "exponentiate_naf",
-    "exponentiate_wnaf",
-    "exponentiate_sliding",
-    "exponentiate_window",
-    "exponentiate_ladder",
-    "exponentiate_double",
-    "multiplication_counts",
     "CeilidhKeyPair",
     "CeilidhSystem",
     "CeilidhCiphertext",

@@ -263,17 +263,6 @@ class T6Group:
             )
         return self._generator_table.power(exponent, trace=count)
 
-    def generator_powers(
-        self, exponents, count: Optional[OpTrace] = None
-    ) -> list:
-        """``generator^e`` for many exponents off the one cached table.
-
-        The table is already shared group-wide, so the batch form
-        is simply the loop — it exists so batch callers (``keygen_many``)
-        read the same way at every layer.
-        """
-        return [self.generator_power(e, count=count) for e in exponents]
-
     def double_exponentiate(
         self,
         element_a: TorusElement,

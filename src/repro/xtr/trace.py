@@ -31,7 +31,6 @@ measured word-operation stream is unchanged.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -42,7 +41,6 @@ from repro.field.fp import PrimeField
 from repro.field.fp2 import make_fp2
 from repro.field.fp6 import Fp6Field, make_fp6
 from repro.field.towers import F1ToF2Map, TowerFp6
-from repro.nt.sampling import sample_exponent
 from repro.torus.params import TorusParameters
 
 
@@ -186,9 +184,6 @@ class XtrContext:
         trade-off reported by Granger, Page and Stam.
         """
         return 4 * exponent_bits
-
-    def random_exponent(self, rng: Optional[random.Random] = None) -> int:
-        return sample_exponent(self.params.q, rng)
 
 
 # -- the ladder's Fp2 steps on coefficient pairs --------------------------------------

@@ -15,7 +15,7 @@ from repro.ecc.curves import (
     get_curve,
     validate_named_curve,
 )
-from repro.ecc.scalar import scalar_mult_binary
+from repro.ecc.scalar import scalar_mult
 
 
 class TestNamedCurves:
@@ -78,7 +78,7 @@ class TestToyCurves:
         named = generate_toy_curve(1009, random.Random(5))
         curve, generator = named.build()
         assert curve.is_on_curve(generator.x, generator.y)
-        assert scalar_mult_binary(generator, named.order).is_infinity()
+        assert scalar_mult(generator, named.order, "binary").is_infinity()
 
     def test_order_is_prime(self):
         from repro.nt.primality import is_probable_prime

@@ -2,8 +2,7 @@
 
 Covers the strategy registry, cross-strategy/cross-group agreement against a
 naive square-and-multiply reference, the batch entry points on every group
-kind, the unified OpTrace (and its
-backwards-compatible per-layer subclasses), fixed-base tables, Shamir double
+kind, the unified OpTrace, fixed-base tables, Shamir double
 exponentiation, the torus's Frobenius split, and the headline cost claims:
 wNAF uses >= 20% fewer general multiplications than binary at 160-bit
 exponents on both T6 and ECC, and one Shamir double exponentiation beats two
@@ -33,7 +32,6 @@ from repro.exp import (
     select_strategy,
 )
 from repro.exp.strategies import CACHED_TABLE_WIDTH, fixed_base_width
-from repro.exp.trace import ExponentiationCount, ExponentiationTrace, ScalarMultCount
 from repro.field import poly as P
 from repro.field.fp import PrimeField
 from repro.field.fp6 import make_fp6
@@ -386,30 +384,11 @@ class TestSignedFixedBaseTable:
 
 
 # ---------------------------------------------------------------------------
-# The unified trace and its per-layer aliases.
+# The unified trace.
 # ---------------------------------------------------------------------------
 
 
 class TestOpTrace:
-    def test_additive_aliases_share_counters(self):
-        trace = OpTrace()
-        trace.doublings += 3
-        trace.additions += 2
-        assert trace.squarings == 3
-        assert trace.multiplications == 2
-        assert trace.total == 5
-
-    def test_legacy_subclasses(self):
-        count = ExponentiationCount(5, 2)
-        assert count.squarings == 5 and count.multiplications == 2
-        trace = ExponentiationTrace(squarings=4, multiplications=1)
-        assert trace.total == 5
-        scalar = ScalarMultCount(doublings=7, additions=3)
-        assert scalar.squarings == 7 and scalar.additions == 3
-        assert isinstance(count, OpTrace)
-        assert isinstance(trace, OpTrace)
-        assert isinstance(scalar, OpTrace)
-
     def test_arithmetic_and_merge(self):
         a = OpTrace(3, 2, 1)
         b = OpTrace(1, 1, 0)
@@ -470,16 +449,16 @@ class TestCostClaims:
         assert wnaf.total < binary.total
 
     def test_wnaf_beats_binary_on_ecc_160bit(self, toy_curve):
-        from repro.ecc.scalar import scalar_mult_binary, scalar_mult_wnaf
+        from repro.ecc.scalar import scalar_mult
 
         rng = random.Random(161)
         _, generator = toy_curve.build()
         scalar = rng.randrange(1 << 159, 1 << 160)
-        binary, wnaf = ScalarMultCount(), ScalarMultCount()
-        reference = scalar_mult_binary(generator, scalar, binary)
-        fast = scalar_mult_wnaf(generator, scalar, count=wnaf)
+        binary, wnaf = OpTrace(), OpTrace()
+        reference = scalar_mult(generator, scalar, "binary", binary)
+        fast = scalar_mult(generator, scalar, "wnaf", wnaf)
         assert fast == reference
-        assert wnaf.additions <= 0.8 * binary.additions
+        assert wnaf.multiplications <= 0.8 * binary.multiplications
         assert wnaf.total < binary.total
 
     def test_sliding_beats_binary_at_rsa_sizes(self):
@@ -488,7 +467,7 @@ class TestCostClaims:
         exponent = rng.randrange(1 << 1023, 1 << 1024)
         from repro.montgomery.exponent import montgomery_power
 
-        binary, sliding = ExponentiationTrace(), ExponentiationTrace()
+        binary, sliding = OpTrace(), OpTrace()
         ref = montgomery_power(domain, 1234, exponent, strategy="binary", trace=binary)
         fast = montgomery_power(domain, 1234, exponent, strategy="sliding", trace=sliding)
         assert ref == fast == pow(1234, exponent, 10007)

@@ -1,15 +1,11 @@
-"""Tests for Montgomery-domain exponentiation."""
+"""Tests for Montgomery-domain exponentiation through ``montgomery_power``."""
 
 import pytest
 
 from repro.errors import ParameterError
+from repro.exp import OpTrace
 from repro.montgomery.domain import MontgomeryDomain
-from repro.montgomery.exponent import (
-    ExponentiationTrace,
-    montgomery_exponent,
-    montgomery_ladder_exponent,
-    montgomery_window_exponent,
-)
+from repro.montgomery.exponent import montgomery_power
 
 
 @pytest.fixture(scope="module")
@@ -23,57 +19,61 @@ class TestCorrectness:
         for _ in range(10):
             base = rng.randrange(p)
             exponent = rng.randrange(1 << 40)
-            assert montgomery_exponent(domain, base, exponent) == pow(base, exponent, p)
+            assert montgomery_power(domain, base, exponent, strategy="binary") == pow(
+                base, exponent, p
+            )
 
     def test_ladder_matches(self, domain, rng):
         p = domain.modulus
         base, exponent = rng.randrange(p), rng.randrange(1 << 40)
-        assert montgomery_ladder_exponent(domain, base, exponent) == pow(base, exponent, p)
+        assert montgomery_power(domain, base, exponent, strategy="ladder") == pow(
+            base, exponent, p
+        )
 
     def test_window_matches(self, domain, rng):
         p = domain.modulus
         base, exponent = rng.randrange(p), rng.randrange(1 << 60)
         for width in (1, 2, 4, 6):
-            assert montgomery_window_exponent(domain, base, exponent, width) == pow(
-                base, exponent, p
-            )
+            assert montgomery_power(
+                domain, base, exponent, strategy="window", window_bits=width
+            ) == pow(base, exponent, p)
 
     def test_zero_and_one_exponents(self, domain):
-        assert montgomery_exponent(domain, 12345, 0) == 1
-        assert montgomery_exponent(domain, 12345, 1) == 12345
-        assert montgomery_ladder_exponent(domain, 12345, 0) == 1
-        assert montgomery_window_exponent(domain, 12345, 0) == 1
+        assert montgomery_power(domain, 12345, 0, strategy="binary") == 1
+        assert montgomery_power(domain, 12345, 1, strategy="binary") == 12345
+        assert montgomery_power(domain, 12345, 0, strategy="ladder") == 1
+        assert montgomery_power(domain, 12345, 0, strategy="window", window_bits=4) == 1
 
     def test_negative_exponent_rejected(self, domain):
-        for func in (montgomery_exponent, montgomery_ladder_exponent):
+        for strategy in ("binary", "ladder"):
             with pytest.raises(ParameterError):
-                func(domain, 2, -1)
+                montgomery_power(domain, 2, -1, strategy=strategy)
 
     def test_bad_window_rejected(self, domain):
         with pytest.raises(ParameterError):
-            montgomery_window_exponent(domain, 2, 5, window_bits=0)
+            montgomery_power(domain, 2, 5, strategy="window", window_bits=0)
 
 
 class TestTraces:
     def test_binary_trace_counts(self, domain):
-        trace = ExponentiationTrace(0, 0)
+        trace = OpTrace()
         exponent = 0b101101
-        montgomery_exponent(domain, 7, exponent, trace)
+        montgomery_power(domain, 7, exponent, strategy="binary", trace=trace)
         assert trace.squarings == exponent.bit_length() - 1
         assert trace.multiplications == bin(exponent).count("1") - 1
         assert trace.total == trace.squarings + trace.multiplications
 
     def test_ladder_trace_is_regular(self, domain):
-        trace = ExponentiationTrace(0, 0)
+        trace = OpTrace()
         exponent = 0b110011
-        montgomery_ladder_exponent(domain, 7, exponent, trace)
+        montgomery_power(domain, 7, exponent, strategy="ladder", trace=trace)
         assert trace.squarings == exponent.bit_length()
         assert trace.multiplications == exponent.bit_length()
 
     def test_rsa_sized_exponentiation_cost(self, domain):
         # The Table 3 composition assumes ~1.5 multiplications per exponent bit.
-        trace = ExponentiationTrace(0, 0)
+        trace = OpTrace()
         exponent = (1 << 64) - 1 - (1 << 13)
-        montgomery_exponent(domain, 3, exponent, trace)
+        montgomery_power(domain, 3, exponent, strategy="binary", trace=trace)
         assert trace.total <= 2 * exponent.bit_length()
         assert trace.total >= exponent.bit_length()

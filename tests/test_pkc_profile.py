@@ -61,7 +61,7 @@ class TestHeadlineTraces:
     def test_ecc_trace_is_the_paper_composition(self, profiles):
         # secp160r1's order is 161 bits: 160 doublings, 80 additions.
         trace = profiles["ecdh-p160"].headline_trace
-        assert (trace.doublings, trace.additions) == (160, 80)
+        assert (trace.squarings, trace.multiplications) == (160, 80)
 
     def test_xtr_ladder_trace_scales_with_the_exponent(self, profiles):
         trace = profiles["xtr-170"].headline_trace

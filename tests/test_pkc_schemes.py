@@ -176,15 +176,15 @@ class TestSchemeSpecifics:
         )
 
     def test_ecdh_fixed_base_keygen_matches_plain_scalar_mult(self, rng):
-        from repro.ecc.scalar import scalar_mult_binary
+        from repro.ecc.scalar import scalar_mult
 
         scheme = get_scheme("ecdh-p160")
         keypair = scheme.keygen(rng)
         # Build the reference generator on the scheme's own field backend so
         # the comparison stays within one representation.
         _, generator = scheme.curve.build(backend=scheme.field_backend)
-        assert keypair.native.public == scalar_mult_binary(
-            generator, keypair.native.private
+        assert keypair.native.public == scalar_mult(
+            generator, keypair.native.private, "binary"
         )
 
     def test_ecdh_keygen_uses_only_table_multiplications(self, rng):

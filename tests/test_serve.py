@@ -768,6 +768,34 @@ class TestLoadHarness:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["load", "--clients", "0"],
+            ["load", "--clients", "-1"],
+            ["load", "--sessions", "0"],
+            ["serve", "--max-batch", "0"],
+            ["load", "--max-batch", "0"],
+            ["serve", "--queue-size", "-5"],
+            ["load", "--queue-size", "-5"],
+            ["cluster", "--workers", "0"],
+            ["load", "--cluster", "2", "--connect", "127.0.0.1:9"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_counts_and_targets_are_usage_errors(self, argv, monkeypatch, capsys):
+        """A count below 1, or ``--cluster`` next to ``--connect``, exits 2
+        with a usage message before any command, and so any socket or
+        process, starts."""
+        from repro.serve import __main__ as cli
+
+        for runner in ("_run_serve_command", "_run_cluster_command", "_run_load_command"):
+            monkeypatch.setattr(cli, runner, lambda args: pytest.fail(f"{args.command} started"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["--schemes", "ceilidh-toy32,rsa-512", "--clients", "2"],
             ["--mix", "zipf-bursty", "--clients", "2", "--sessions", "2"],
             pytest.param(

@@ -121,13 +121,13 @@ class TestEccSequences:
     def test_addition_matches_on_160_bit_curve(self, rng):
         from repro.ecc.curves import SECP160R1
         from repro.ecc.point import JacobianPoint
-        from repro.ecc.scalar import scalar_mult_binary
+        from repro.ecc.scalar import scalar_mult
 
         curve, generator = SECP160R1.build()
         domain = MontgomeryDomain(curve.field.p, word_bits=16)
         backend = SoftwareBackend(domain)
-        p1 = scalar_mult_binary(generator, 12345).to_jacobian()
-        p2 = scalar_mult_binary(generator, 67890).to_jacobian()
+        p1 = scalar_mult(generator, 12345, "binary").to_jacobian()
+        p2 = scalar_mult(generator, 67890, "binary").to_jacobian()
         memory = ecc_point_memory(
             domain,
             {"X1": p1.x, "Y1": p1.y, "Z1": p1.z, "X2": p2.x, "Y2": p2.y, "Z2": p2.z},

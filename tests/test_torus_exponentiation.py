@@ -1,15 +1,9 @@
-"""Tests for the torus exponentiation strategies."""
+"""Tests for torus exponentiation through ``T6Group.exponentiate``."""
 
 import pytest
 
 from repro.errors import ParameterError
-from repro.torus.exponentiation import (
-    ExponentiationCount,
-    exponentiate_binary,
-    exponentiate_naf,
-    exponentiate_window,
-    multiplication_counts,
-)
+from repro.exp import OpTrace, expected_counts, exponentiate
 
 
 class TestStrategiesAgree:
@@ -17,59 +11,65 @@ class TestStrategiesAgree:
     def test_all_strategies_match_group_pow(self, toy32_group, exponent):
         g = toy32_group.generator()
         reference = toy32_group.exponentiate(g, exponent)
-        assert exponentiate_binary(g, exponent) == reference
-        assert exponentiate_naf(g, exponent) == reference
-        assert exponentiate_window(g, exponent) == reference
-        assert exponentiate_window(g, exponent, window_bits=2) == reference
+        assert toy32_group.exponentiate(g, exponent, "binary") == reference
+        assert toy32_group.exponentiate(g, exponent, "naf") == reference
+        assert toy32_group.exponentiate(g, exponent, "window") == reference
+        assert exponentiate(
+            toy32_group.exp_group(), g, exponent, strategy="window", window_bits=2
+        ) == reference
 
     def test_random_exponents(self, toy32_group, rng):
         g = toy32_group.generator()
         for _ in range(5):
             exponent = rng.randrange(1, toy32_group.params.q)
             reference = toy32_group.exponentiate(g, exponent)
-            assert exponentiate_binary(g, exponent) == reference
-            assert exponentiate_naf(g, exponent) == reference
-            assert exponentiate_window(g, exponent) == reference
+            assert toy32_group.exponentiate(g, exponent, "binary") == reference
+            assert toy32_group.exponentiate(g, exponent, "naf") == reference
+            assert toy32_group.exponentiate(g, exponent, "window") == reference
 
     def test_negative_exponent(self, toy32_group):
         g = toy32_group.generator()
-        assert exponentiate_binary(g, -7) == toy32_group.exponentiate(g, -7)
-        assert exponentiate_naf(g, -7) == toy32_group.exponentiate(g, -7)
+        reference = toy32_group.exponentiate(g, -7)
+        assert toy32_group.exponentiate(g, -7, "binary") == reference
+        assert toy32_group.exponentiate(g, -7, "naf") == reference
 
     def test_bad_window_rejected(self, toy32_group):
         with pytest.raises(ParameterError):
-            exponentiate_window(toy32_group.generator(), 5, window_bits=0)
+            exponentiate(
+                toy32_group.exp_group(), toy32_group.generator(), 5,
+                strategy="window", window_bits=0,
+            )
 
 
 class TestOperationCounts:
     def test_binary_counts(self, toy32_group):
-        count = ExponentiationCount(0, 0)
+        count = OpTrace()
         exponent = 0b1011011
-        exponentiate_binary(toy32_group.generator(), exponent, count)
+        toy32_group.exponentiate(toy32_group.generator(), exponent, "binary", count=count)
         assert count.squarings == exponent.bit_length() - 1
         assert count.multiplications == bin(exponent).count("1") - 1
 
     def test_naf_uses_fewer_multiplications_on_dense_exponents(self, toy32_group):
         dense = (1 << 48) - 1  # all ones: binary needs 47 multiplications
-        binary_count = ExponentiationCount(0, 0)
-        naf_count = ExponentiationCount(0, 0)
-        exponentiate_binary(toy32_group.generator(), dense, binary_count)
-        exponentiate_naf(toy32_group.generator(), dense, naf_count)
+        binary_count = OpTrace()
+        naf_count = OpTrace()
+        toy32_group.exponentiate(toy32_group.generator(), dense, "binary", count=binary_count)
+        toy32_group.exponentiate(toy32_group.generator(), dense, "naf", count=naf_count)
         assert naf_count.multiplications < binary_count.multiplications
 
     def test_closed_form_counts(self):
-        binary = multiplication_counts(170, "binary")
+        binary = expected_counts("binary", 170)
         assert binary.squarings == 169
         assert binary.multiplications == 84
-        naf = multiplication_counts(170, "naf")
+        naf = expected_counts("naf", 170)
         assert naf.multiplications < binary.multiplications
-        window = multiplication_counts(170, "window4")
+        window = expected_counts("window", 170, window_bits=4)
         assert window.total < binary.total
         with pytest.raises(ParameterError):
-            multiplication_counts(170, "bogus")
+            expected_counts("bogus", 170)
 
     def test_paper_scale_operation_count(self):
         # ~170-bit exponent -> ~254 Fp6 multiplications, the number behind the
         # 20 ms Table 3 entry (254 * ~5908 cycles at 74 MHz).
-        count = multiplication_counts(170, "binary")
+        count = expected_counts("binary", 170)
         assert 240 <= count.total <= 260
