@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis.tables import TABLE3_SCHEMES, table3, table3_profiles
+from repro.analysis.tables import table3, table3_profiles
 from repro.ecc.curves import SECP160R1
 from repro.ecc.scalar import scalar_mult
 from repro.montgomery.domain import MontgomeryDomain

@@ -2,7 +2,8 @@
 
 Each function regenerates one evaluation artefact from the simulated
 platform and pairs it with the paper's published numbers so the benchmark
-harness (and EXPERIMENTS.md) can report paper-vs-measured side by side.
+harness can report paper-vs-measured side by side (for Table 1 in
+``benchmarks/results/table1_modular_ops.txt``).
 """
 
 from repro.analysis.tables import (

@@ -17,7 +17,6 @@ import json
 from typing import Dict, List
 
 from repro.audit.engine import AuditResult
-from repro.audit.rules import Finding
 
 __all__ = ["summarize", "render_text", "render_json", "summary_line"]
 

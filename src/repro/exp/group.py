@@ -171,48 +171,46 @@ class PolyModExpGroup(Group):
 
 
 class TorusExpGroup(Group):
-    """T6(Fp) on :class:`~repro.torus.t6.TorusElement` values.
+    """T6(Fp) on raw F1 values (:class:`~repro.field.extension.ExtElement`).
 
-    Inversion is one Frobenius application (``alpha^-1 = alpha^(p^3)``), so
-    ``cheap_inverse`` is set.  The p-power Frobenius itself is the declared
-    endomorphism (``alpha^p`` for every element of Fp6, so of T6 too), which
-    lets the engine's auto-selection split exponents wider than p.  Squaring
-    is the cyclotomic one (6M on a plain field).  Both it and the Frobenius
-    inverse hold only on T6, so operands must be torus members; every
-    ``TorusElement`` the library builds is one.
+    Every operation is one call on the group's
+    :class:`~repro.field.fp6.Fp6Field`, so each product the engine makes is
+    one counted ``Fp6Field.mul`` and each squaring one ``Fp6Field.sqr``:
+    the cyclotomic one (6M on a plain field).  Inversion is one Frobenius
+    application (``alpha^-1 = alpha^(p^3)``), so ``cheap_inverse`` is set.
+    The p-power Frobenius is the declared endomorphism (``alpha^p`` for
+    every element of Fp6, so of T6 too), which lets the engine's
+    auto-selection split exponents wider than p.  The cyclotomic squaring
+    and the Frobenius inverse hold only on T6, so operands must be torus
+    members; :class:`~repro.torus.t6.T6Group` unwraps its elements'
+    ``.value`` on the way in and wraps each result once on the way out.
     """
 
     cheap_inverse = True
 
     def __init__(self, group):
-        from repro.torus.t6 import TorusElement
-
-        self._TorusElement = TorusElement
-        self.group = group
         self.fp6 = group.fp6
         self.name = f"T6(p={group.params.p})"
         self.endomorphism_exponent = group.params.p
+        self._one = self.fp6.one()
 
     def identity(self):
-        return self.group.identity()
+        return self._one
 
     def op(self, a, b):
-        # Engine operands are always elements of this one group, so the
-        # cross-group validation of TorusElement.__mul__ is skipped here —
-        # one Fp6 multiplication and a raw wrap per group operation.
-        return self._TorusElement(self.group, self.fp6.mul(a.value, b.value))
+        return self.fp6.mul(a, b)
 
     def square(self, a):
-        return self._TorusElement(self.group, self.fp6.sqr(a.value, cyclotomic=True))
+        return self.fp6.sqr(a, True)
 
     def inverse(self, a):
-        return a.inverse()
+        return self.fp6.frobenius(a, 3)
 
     def endomorphism(self, a):
-        return self._TorusElement(self.group, self.fp6.frobenius(a.value, 1))
+        return self.fp6.frobenius(a, 1)
 
     def is_identity(self, a) -> bool:
-        return a.is_identity()
+        return a.is_one()
 
 
 class MontgomeryExpGroup(Group):

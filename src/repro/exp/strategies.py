@@ -100,36 +100,30 @@ def _bound_ops(group: Group, trace: Optional[OpTrace]):
 
 def naf_digits(exponent: int) -> List[int]:
     """Non-adjacent form, least-significant digit first, digits in {-1, 0, 1}."""
-    digits: List[int] = []
-    while exponent > 0:
-        if exponent & 1:
-            digit = 2 - (exponent % 4)
-            exponent -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        exponent >>= 1
-    return digits
+    return wnaf_digits(exponent, 2)
 
 
 def wnaf_digits(exponent: int, width: int) -> List[int]:
     """Width-``w`` NAF, least-significant first; non-zero digits are odd and
-    lie in ``(-2^(w-1), 2^(w-1))``, with at least ``w-1`` zeros between them."""
-    if width < 2:
-        return naf_digits(exponent)
+    lie in ``(-2^(w-1), 2^(w-1))``, with at least ``w-1`` zeros between them.
+
+    Width 1 gives the NAF, like width 2.  Each run of zero bits is emitted
+    in one step, so the loop turns once per non-zero digit, not per bit.
+    """
+    width = max(width, 2)
     digits: List[int] = []
-    modulus = 1 << width
+    mask = (1 << width) - 1
     half = 1 << (width - 1)
     while exponent > 0:
-        if exponent & 1:
-            digit = exponent % modulus
-            if digit >= half:
-                digit -= modulus
-            exponent -= digit
-        else:
-            digit = 0
+        zeros = (exponent & -exponent).bit_length() - 1
+        if zeros:
+            digits += [0] * zeros
+            exponent >>= zeros
+        digit = exponent & mask
+        if digit >= half:
+            digit -= mask + 1
         digits.append(digit)
-        exponent >>= 1
+        exponent = (exponent - digit) >> 1
     return digits
 
 
@@ -270,7 +264,7 @@ def exp_wnaf(
         return group.identity()
     square, op, inv = _bound_ops(group, trace)
     digits = wnaf_recoding(exponent, window_bits)
-    largest = max((abs(d) for d in digits if d), default=1)
+    largest = max(map(abs, digits))
     table = _odd_power_table(square, op, base, largest)
     return _signed_digit_walk(group, square, op, digits, _signed_lookup(table, inv))
 
@@ -323,7 +317,7 @@ def exp_split(
     high, low = divmod(exponent, lam)
     low_digits = wnaf_digits(low, window_bits)
     high_digits = wnaf_digits(high, window_bits)
-    largest = max(abs(d) for d in low_digits + high_digits)
+    largest = max(map(abs, low_digits + high_digits))
     table = _odd_power_table(square, op, base, largest)
     mapped = {digit: group.endomorphism(power) for digit, power in table.items()}
     low_lookup = _signed_lookup(table, inv)

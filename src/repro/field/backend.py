@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.errors import NotInvertibleError, ParameterError
 from repro.nt.modular import modinv, modinv_euclid

@@ -22,6 +22,11 @@ from repro.field.fp import PrimeField
 #: Little-endian coefficients of z^6 + z^3 + 1.
 FP6_MODULUS = [1, 0, 0, 1, 0, 0, 1]
 
+#: Builds the plain kernels' results: their coefficients are already
+#: reduced, so they skip ``ExtElement.__init__``'s checks, and one call per
+#: product is a measurable share of a 6M squaring.
+_new = object.__new__
+
 
 def _signed_permutation(m: int) -> Tuple[Tuple[int, int], ...]:
     """Output coordinate ``j`` of ``z -> z^m`` as ``coeffs[plus] - coeffs[minus]``.
@@ -64,22 +69,18 @@ class Fp6Field(ExtensionField):
     # -- paper multiplication ------------------------------------------------
 
     def mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        """Multiplication using the 18M algorithm of Section 2.2.2."""
-        if self._plain_base:
-            return self._mul_fast(a, b)
-        return self.mul_paper(a, b)
+        """The 18M multiplication of Section 2.2.2.
 
-    def _mul_fast(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        """The 18M algorithm on raw integers with deferred reduction.
-
-        Same three half-products and degree-10 reduction as
-        :meth:`mul_paper`, but every intermediate stays an unreduced Python
-        integer (bounded by a few p^2, signed) and each of the six output
-        coordinates is reduced exactly once at the end — 6 modular
-        reductions instead of 18, and no per-operation field-method calls.
-        Only used over a plain :class:`PrimeField`; counting fields take the
-        instrumented path so the 18M + ~60A tally stays observable.
+        Counting and resident base fields run :meth:`mul_paper`, so every
+        base-field M and A stays observable.  Over a plain prime field the
+        same three half products and degree-10 reduction run here on raw
+        integers: every intermediate stays an unreduced Python integer
+        (bounded by a few p^2, signed) and each of the six output
+        coordinates is reduced once, 6 modular reductions instead of 18 and
+        no per-operation field-method calls.
         """
+        if not self._plain_base:
+            return self.mul_paper(a, b)
         p = self.base.p
         a0, a1, a2, a3, a4, a5 = a.coeffs
         b0, b1, b2, b3, b4, b5 = b.coeffs
@@ -131,17 +132,17 @@ class Fp6Field(ExtensionField):
 
         z6 = m3 + c1_0
         z7 = m4 + c1_1
-        return ExtElement._raw(
-            self,
-            (
-                (c0_0 - z6 + c1_3) % p,           # 1:    -z^6, +z^9
-                (c0_1 - z7 + c1_4) % p,           # z:    -z^7, +z^10
-                (c0_2 - c1_2) % p,                # z^2:  -z^8
-                (c0_3 + m0 - z6) % p,             # z^3:  -z^6
-                (c0_4 + m1 - z7) % p,             # z^4:  -z^7
-                (m2 - c1_2) % p,                  # z^5:  -z^8
-            ),
+        product = _new(ExtElement)
+        product.field = self
+        product.coeffs = (
+            (c0_0 - z6 + c1_3) % p,           # 1:    -z^6, +z^9
+            (c0_1 - z7 + c1_4) % p,           # z:    -z^7, +z^10
+            (c0_2 - c1_2) % p,                # z^2:  -z^8
+            (c0_3 + m0 - z6) % p,             # z^3:  -z^6
+            (c0_4 + m1 - z7) % p,             # z^4:  -z^7
+            (m2 - c1_2) % p,                  # z^5:  -z^8
         )
+        return product
 
     def mul_schoolbook(self, a: ExtElement, b: ExtElement) -> ExtElement:
         """Plain schoolbook multiplication (36M), kept as a cross-check."""
@@ -247,15 +248,44 @@ class Fp6Field(ExtensionField):
 
         The paper uses no dedicated squaring, so counting and resident
         fields square with :meth:`mul_paper` and keep its 18M tally either
-        way.  Over a plain prime field the fast path is a 12M complex
-        squaring for any element, and the 6M cyclotomic squaring of
-        :meth:`_sqr_cyclotomic` for torus elements.
+        way.  Over a plain prime field any element squares with the 12M
+        complex squaring of :meth:`_sqr_fast`, and a torus element with the
+        6M cyclotomic squaring of Granger and Scott, "Faster squaring in the
+        cyclotomic subgroup of sixth degree extensions" (PKC 2010).
+
+        With w = z^3 a primitive cube root of unity, F1 is the cubic
+        extension Fp2[z]/(z^3 - w) of Fp2 = Fp(w), their setting.  For ``a``
+        in T6 their identities give each coordinate of ``a^2`` from one
+        product of two coordinate combinations:
+
+            c0 = 3(a0^2 - a3^2) - 2(a0 - a3)    c3 = 3 a3(2a0 - a3) + 2 a3
+            c1 = 3 a5(a5 - 2a2) + 2 a2          c4 = 3 a2(a2 - 2a5) + 2(a2 - a5)
+            c2 = 3(a1^2 - a4^2) + 2 a1          c5 = 3 a4(2a1 - a4) + 2(a1 - a4)
+
+        The result is wrong for elements outside the torus.  c0 and c3
+        factor as (a0 - a3)(3(a0 + a3) - 2) and a3(3(2a0 - a3) + 2), and
+        every coordinate is reduced once, as in :meth:`mul`.
         """
         if not self._plain_base:
             return self.mul_paper(a, a)
-        if cyclotomic:
-            return self._sqr_cyclotomic(a)
-        return self._sqr_fast(a)
+        if not cyclotomic:
+            return self._sqr_fast(a)
+        p = self.base.p
+        a0, a1, a2, a3, a4, a5 = a.coeffs
+        d03 = a0 - a3
+        d14 = a1 - a4
+        d25 = a2 - a5
+        square = _new(ExtElement)
+        square.field = self
+        square.coeffs = (
+            d03 * (3 * (a0 + a3) - 2) % p,
+            (3 * a5 * (a5 - a2 - a2) + a2 + a2) % p,
+            (3 * d14 * (a1 + a4) + a1 + a1) % p,
+            a3 * (3 * (a0 + d03) + 2) % p,
+            (3 * a2 * (d25 - a5) + d25 + d25) % p,
+            (3 * a4 * (a1 + d14) + d14 + d14) % p,
+        )
+        return square
 
     def _sqr_fast(self, a: ExtElement) -> ExtElement:
         """Complex squaring on raw integers: two 6M half products (12M).
@@ -263,7 +293,7 @@ class Fp6Field(ExtensionField):
         With omega = z^3 (omega^2 = -omega - 1),
         ``(A0 + A1 omega)^2 = (A0 - A1)(A0 + A1) + A1 (2 A0 - A1) omega``;
         each product is :meth:`_half_product`'s six-multiplication formula,
-        reduced once per output coordinate as in :meth:`_mul_fast`.
+        reduced once per output coordinate as in :meth:`mul`.
         """
         p = self.base.p
         a0, a1, a2, a3, a4, a5 = a.coeffs
@@ -302,41 +332,6 @@ class Fp6Field(ExtensionField):
             ),
         )
 
-    def _sqr_cyclotomic(self, a: ExtElement) -> ExtElement:
-        """Granger-Scott squaring in T6(Fp) on raw integers (6M).
-
-        With w = z^3 a primitive cube root of unity, F1 is the cubic
-        extension Fp2[z]/(z^3 - w) of Fp2 = Fp(w), the setting of Granger
-        and Scott, "Faster squaring in the cyclotomic subgroup of sixth
-        degree extensions" (PKC 2010).  For ``a`` in T6 their identities
-        give each coordinate of ``a^2`` from one product of two coordinate
-        combinations:
-
-            c0 = 3(a0^2 - a3^2) - 2(a0 - a3)    c3 = 3 a3(2a0 - a3) + 2 a3
-            c1 = 3 a5(a5 - 2a2) + 2 a2          c4 = 3 a2(a2 - 2a5) + 2(a2 - a5)
-            c2 = 3(a1^2 - a4^2) + 2 a1          c5 = 3 a4(2a1 - a4) + 2(a1 - a4)
-
-        The result is wrong for elements outside the torus.  c0 and c3
-        factor as (a0 - a3)(3(a0 + a3) - 2) and a3(3(2a0 - a3) + 2), and
-        every coordinate is reduced once, as in :meth:`_mul_fast`.
-        """
-        p = self.base.p
-        a0, a1, a2, a3, a4, a5 = a.coeffs
-        d03 = a0 - a3
-        d14 = a1 - a4
-        d25 = a2 - a5
-        return ExtElement._raw(
-            self,
-            (
-                d03 * (3 * (a0 + a3) - 2) % p,
-                (3 * a5 * (a5 - a2 - a2) + a2 + a2) % p,
-                (3 * d14 * (a1 + a4) + a1 + a1) % p,
-                a3 * (3 * (a0 + d03) + 2) % p,
-                (3 * a2 * (d25 - a5) + d25 + d25) % p,
-                (3 * a4 * (a1 + d14) + d14 + d14) % p,
-            ),
-        )
-
     # -- Frobenius ----------------------------------------------------------------
 
     def frobenius(self, a: ExtElement, k: int = 1) -> ExtElement:
@@ -344,17 +339,22 @@ class Fp6Field(ExtensionField):
 
         z is a primitive 9th root of unity, so the map sends z^i to
         z^(i p^k mod 9); exponents 6..8 fold back through z^6 = -1 - z^3,
-        z^7 = -z - z^4 and z^8 = -z^2 - z^5.  Every output coordinate is one
-        base-field ``sub`` of at most two input coordinates, on any backend.
+        z^7 = -z - z^4 and z^8 = -z^2 - z^5.  Every output coordinate is the
+        difference of at most two input coordinates: one base-field ``sub``
+        on a counting or resident field, one ``% p`` on a plain one.
         """
         k %= 6
         if k == 0:
             return a
-        sub = self.base.sub
         coeffs = a.coeffs + (0,)
-        return ExtElement._raw(
-            self, tuple([sub(coeffs[i], coeffs[j]) for i, j in self._frobenius_terms[k]])
-        )
+        terms = self._frobenius_terms[k]
+        if self._plain_base:
+            p = self.base.p
+            values = tuple([(coeffs[i] - coeffs[j]) % p for i, j in terms])
+        else:
+            sub = self.base.sub
+            values = tuple([sub(coeffs[i], coeffs[j]) for i, j in terms])
+        return ExtElement._raw(self, values)
 
     # -- cyclotomic structure --------------------------------------------------
 

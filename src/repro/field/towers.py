@@ -24,11 +24,11 @@ Fp3 halves of tau(alpha) directly (:mod:`repro.torus.compression`).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import FieldMismatchError, ParameterError
 from repro.field import poly as P
-from repro.field.extension import ExtElement, ExtensionField
+from repro.field.extension import ExtElement
 from repro.field.fp import PrimeField
 from repro.field.fp3 import make_fp3
 from repro.field.fp6 import Fp6Field

@@ -24,7 +24,7 @@ word-counting field backend (:mod:`repro.field.backend`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.errors import ParameterError
 from repro.montgomery.domain import MontgomeryDomain

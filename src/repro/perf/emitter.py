@@ -23,7 +23,7 @@ import json
 import os
 import pathlib
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.analysis.report import render_table
 from repro.perf.record import SCHEMA_VERSION, PerfRecord

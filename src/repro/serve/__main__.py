@@ -64,14 +64,18 @@ Runs = List[Tuple[int, TrafficReport]]
 Efficiency = Dict[Tuple[int, str], float]
 
 
-def _add_server_options(parser: argparse.ArgumentParser) -> None:
+def _add_server_options(parser: argparse.ArgumentParser, per_worker: bool = False) -> None:
+    """``--backend``, ``--max-batch`` and ``--queue-size``; a cluster applies
+    both counts to each of its workers."""
+    scope = " (per worker)" if per_worker else ""
     parser.add_argument("--backend", default=None,
                         help="field backend (default: $REPRO_FIELD_BACKEND or plain)")
     parser.add_argument("--max-batch", type=_positive_int, default=32,
-                        help="largest same-scheme batch the crypto thread executes")
+                        help="largest same-scheme batch the crypto thread executes"
+                             + scope)
     parser.add_argument("--queue-size", type=_positive_int, default=256,
                         help="accepted requests that may await an answer; "
-                             "past it a request is answered OP_OVERLOADED")
+                             "past it a request is answered OP_OVERLOADED" + scope)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,14 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes sharing the port (default: 2)")
     cluster.add_argument("--schemes", default=None,
                          help="comma-separated allowlist (default: whole registry)")
-    cluster.add_argument("--backend", default=None,
-                         help="field backend (default: $REPRO_FIELD_BACKEND or plain)")
-    cluster.add_argument("--max-batch", type=_positive_int, default=32,
-                         help="largest same-scheme batch a worker's crypto "
-                              "thread executes")
-    cluster.add_argument("--queue-size", type=_positive_int, default=256,
-                         help="accepted requests per worker that may await an "
-                              "answer; past it a request is answered OP_OVERLOADED")
+    _add_server_options(cluster, per_worker=True)
 
     load = commands.add_parser("load", help="drive a server with concurrent clients")
     target = load.add_mutually_exclusive_group()

@@ -53,7 +53,7 @@ import hashlib
 import hmac
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.audit.annotations import Secret

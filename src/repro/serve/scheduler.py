@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import (
     OverloadedError,
     ParameterError,
-    ProtocolError,
     ReproError,
     UnavailableError,
     UnsupportedOperationError,

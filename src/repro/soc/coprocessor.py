@@ -11,7 +11,7 @@ layer turns into Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ExecutionError, ParameterError, ScheduleError
 from repro.soc.assembler import CoreProgram, Schedule, schedule_programs

@@ -15,7 +15,7 @@ logic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import ParameterError
 from repro.soc.level2 import Level2Program, ModOpKind

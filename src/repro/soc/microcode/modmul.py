@@ -20,21 +20,22 @@ The main loop is executed cycle-accurately.  The epilogue — folding the
 parked carries back in and the conditional final subtraction — is performed
 functionally by the sequencer model at a documented cost
 (:attr:`MontgomeryMulMicrocode.EPILOGUE_CYCLES_PER_WORD` cycles per word plus
-a constant), because the paper gives no detail about it and it contributes
-only ~10-15% of the operation (see EXPERIMENTS.md).
+a constant), because the paper gives no detail about it and it is a small
+share of the operation: 43 of the 314 cycles of a 170-bit multiplication in
+``benchmarks/results/table1_modular_ops.txt``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ExecutionError, ParameterError
 from repro.montgomery.domain import MontgomeryDomain
 from repro.montgomery.parallel import ParallelFiosSchedule
 from repro.soc.assembler import CoreProgram
 from repro.soc.coprocessor import Coprocessor
-from repro.soc.isa import addc, cla, ld, mac, sha, st
+from repro.soc.isa import cla, ld, mac, sha, st
 
 
 @dataclass

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.errors import ParameterError
 from repro.field.extension import ExtElement
 from repro.field.fp6 import Fp6Field
 from repro.montgomery.domain import MontgomeryDomain

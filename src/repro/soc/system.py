@@ -66,7 +66,8 @@ class PlatformConfig:
     paper-style single add pass).  It is off by default so that every
     functional execution path is strictly reduced; the Table 1 comparison is
     unaffected because the addition row reports the fast-path (no-correction)
-    cycle count either way — see EXPERIMENTS.md.
+    cycle count either way, the figure ``benchmarks/results/table1_modular_ops.txt``
+    prints next to the paper's.
     """
 
     word_bits: int = 16

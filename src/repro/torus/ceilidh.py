@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.audit.annotations import Secret
 from repro.errors import CompressionError, DecryptionError, ParameterError, SignatureError

@@ -99,7 +99,14 @@ class TorusElement:
 
 
 class T6Group:
-    """T6(Fp) with a distinguished prime-order subgroup of order q."""
+    """T6(Fp) with a distinguished prime-order subgroup of order q.
+
+    Its five exponentiation methods take and return :class:`TorusElement`
+    values, but the engine computes on raw F1 values through
+    :meth:`exp_group`: each method unwraps ``.value`` once on the way in and
+    wraps one :class:`TorusElement` per result on the way out, and the
+    cached generator table holds raw values.
+    """
 
     def __init__(self, params: TorusParameters, validate: bool = False, backend=None):
         if validate:
@@ -191,7 +198,7 @@ class T6Group:
     # -- exponentiation -------------------------------------------------------------
 
     def exp_group(self) -> TorusExpGroup:
-        """T6(Fp) as a :class:`repro.exp` group (cheap Frobenius inversion)."""
+        """T6(Fp) as a :class:`repro.exp` group over raw F1 values."""
         if self._exp_group is None:
             self._exp_group = TorusExpGroup(self)
         return self._exp_group
@@ -212,8 +219,11 @@ class T6Group:
         map too, so signed digits cost nothing, and negative exponents use
         the same cheap inversion.
         """
-        return exponentiate(
-            self.exp_group(), element, exponent, strategy=strategy, trace=count
+        return TorusElement(
+            self,
+            exponentiate(
+                self.exp_group(), element.value, exponent, strategy=strategy, trace=count
+            ),
         )
 
     def exponentiate_many(
@@ -229,9 +239,14 @@ class T6Group:
         group, say) amortize one fixed-base table; value-identical to a loop
         of :meth:`exponentiate` calls.
         """
-        return exponentiate_many(
-            self.exp_group(), elements, exponents, strategy=strategy, trace=count
+        values = exponentiate_many(
+            self.exp_group(),
+            [element.value for element in elements],
+            exponents,
+            strategy=strategy,
+            trace=count,
         )
+        return [TorusElement(self, value) for value in values]
 
     def exponentiate_shared_base(
         self,
@@ -241,27 +256,29 @@ class T6Group:
         count: Optional[OpTrace] = None,
     ) -> list:
         """``element^e`` for many exponents off one shared fixed-base table."""
-        return exponentiate_shared_base(
-            self.exp_group(), element, exponents, strategy=strategy, trace=count
+        values = exponentiate_shared_base(
+            self.exp_group(), element.value, exponents, strategy=strategy, trace=count
         )
+        return [TorusElement(self, value) for value in values]
 
     def generator_power(
         self, exponent: int, count: Optional[OpTrace] = None
     ) -> TorusElement:
         """``generator^exponent`` from a cached fixed-base table.
 
-        The width-4 signed table is built once per group; its rows cover
-        bits(p), and the p-power Frobenius maps the high half of
-        e = e0 + e1*p.  Each call then needs ~n/4 * 15/16 Fp6 products
-        (~72 for the 311-bit q of ceilidh-170), a free Frobenius inversion
-        per negative digit and no squarings — the fast path for key
-        generation, ephemeral DH values and Schnorr commitments.
+        The width-4 signed table of the generator's raw value is built once
+        per group; its rows cover bits(p), and the p-power Frobenius maps
+        the high half of e = e0 + e1*p.  Each call then needs ~n/4 * 15/16
+        Fp6 products (~72 for the 311-bit q of ceilidh-170), a free
+        Frobenius inversion per negative digit and no squarings — the fast
+        path for key generation, ephemeral DH values and Schnorr
+        commitments.
         """
         if self._generator_table is None:
             self._generator_table = FixedBaseTable(
-                self.exp_group(), self.generator(), self.params.q.bit_length()
+                self.exp_group(), self.generator().value, self.params.q.bit_length()
             )
-        return self._generator_table.power(exponent, trace=count)
+        return TorusElement(self, self._generator_table.power(exponent, trace=count))
 
     def double_exponentiate(
         self,
@@ -272,8 +289,16 @@ class T6Group:
         count: Optional[OpTrace] = None,
     ) -> TorusElement:
         """Shamir/Straus ``a^ea * b^eb`` on one shared squaring chain."""
-        return double_exponentiate(
-            self.exp_group(), element_a, exponent_a, element_b, exponent_b, trace=count
+        return TorusElement(
+            self,
+            double_exponentiate(
+                self.exp_group(),
+                element_a.value,
+                exponent_a,
+                element_b.value,
+                exponent_b,
+                trace=count,
+            ),
         )
 
     def __repr__(self) -> str:

@@ -20,7 +20,7 @@ from repro.exp import (
     double_exponentiate,
     exponentiate,
 )
-from repro.exp.strategies import FixedBaseTable, wnaf_recoding
+from repro.exp.strategies import FixedBaseTable, naf_digits, wnaf_digits, wnaf_recoding
 from repro.field.fp import PrimeField
 from repro.field.fp6 import make_fp6
 from repro.field.opcount import CountingPrimeField
@@ -32,11 +32,11 @@ def fp_group():
 
 
 @pytest.fixture(scope="module")
-def torus_group(request):
+def t6():
     from repro.torus.params import get_parameters
     from repro.torus.t6 import T6Group
 
-    return T6Group(get_parameters("toy-32")).exp_group()
+    return T6Group(get_parameters("toy-32"))
 
 
 class TestTracedUntracedAgreement:
@@ -56,9 +56,10 @@ class TestTracedUntracedAgreement:
                 assert trace.total > 0  # the traced run really recorded work
 
     @pytest.mark.parametrize("strategy", sorted(available_strategies()))
-    def test_every_strategy_on_the_torus(self, strategy, torus_group):
+    def test_every_strategy_on_the_torus(self, strategy, t6):
         rng = random.Random(42)
-        element = torus_group.group.random_subgroup_element(rng)
+        torus_group = t6.exp_group()
+        element = t6.random_subgroup_element(rng).value
         exponent = rng.getrandbits(28) | 1
         trace = OpTrace()
         traced = exponentiate(torus_group, element, exponent, strategy=strategy, trace=trace)
@@ -85,15 +86,59 @@ class TestTracedUntracedAgreement:
             trace = OpTrace()
             assert traced_table.power(exponent, trace=trace) == untraced_table.power(exponent)
 
-    def test_negative_exponent_inversion_counted_once(self, torus_group):
-        element = torus_group.group.random_subgroup_element(random.Random(9))
+    def test_negative_exponent_inversion_counted_once(self, t6):
+        torus_group = t6.exp_group()
+        element = t6.random_subgroup_element(random.Random(9)).value
         trace = OpTrace()
         traced = exponentiate(torus_group, element, -5, trace=trace)
         assert trace.inversions >= 1
         assert traced == exponentiate(torus_group, element, -5)
 
 
+def per_bit_wnaf_digits(exponent, width):
+    """The recoding as one loop turn per bit: the reference for the
+    zero-run-skipping :func:`wnaf_digits`."""
+    digits = []
+    if width < 2:
+        while exponent > 0:
+            if exponent & 1:
+                digit = 2 - (exponent % 4)
+                exponent -= digit
+            else:
+                digit = 0
+            digits.append(digit)
+            exponent >>= 1
+        return digits
+    modulus = 1 << width
+    half = 1 << (width - 1)
+    while exponent > 0:
+        if exponent & 1:
+            digit = exponent % modulus
+            if digit >= half:
+                digit -= modulus
+            exponent -= digit
+        else:
+            digit = 0
+        digits.append(digit)
+        exponent >>= 1
+    return digits
+
+
 class TestWnafRecoding:
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_digits_match_the_per_bit_loop(self, width, ceilidh170_params):
+        rng = random.Random(width)
+        max_bits = 3 * ceilidh170_params.q.bit_length()
+        exponents = [0, 1] + [1 << k for k in range(max_bits + 1)]
+        exponents += [rng.getrandbits(rng.randrange(1, max_bits + 1)) for _ in range(300)]
+        for exponent in exponents:
+            assert wnaf_digits(exponent, width) == per_bit_wnaf_digits(exponent, width), (
+                exponent
+            )
+        if width == 1:
+            for exponent in exponents:
+                assert naf_digits(exponent) == per_bit_wnaf_digits(exponent, 1), exponent
+
     def test_recoding_retains_no_secrets(self):
         """Security: no process-wide cache keyed by (secret) exponents."""
         assert not hasattr(wnaf_recoding, "cache_info")

@@ -776,6 +776,8 @@ class TestLoadHarness:
             ["serve", "--queue-size", "-5"],
             ["load", "--queue-size", "-5"],
             ["cluster", "--workers", "0"],
+            ["cluster", "--max-batch", "0"],
+            ["cluster", "--queue-size", "-5"],
             ["load", "--cluster", "2", "--connect", "127.0.0.1:9"],
         ],
         ids=lambda argv: " ".join(argv),
