@@ -21,10 +21,9 @@ class WeierstrassCurve:
         # are resident in the field's representation.
         self.a = field.enter(a % field.p)
         self.b = field.enter(b % field.p)
-        # Point arithmetic may run on raw integers only when field operations
-        # are unobserved plain arithmetic (as for Fp6Field._plain_base): a
-        # counting subclass or a resident backend keeps the field methods.
-        self.plain_arithmetic = type(field) is PrimeField and field.backend.plain
+        # Point arithmetic may run on raw integers only on plain arithmetic
+        # (PrimeField.plain_arithmetic).
+        self.plain_arithmetic = field.plain_arithmetic
         if self.discriminant() == 0:
             raise ParameterError("singular curve: 4a^3 + 27b^2 = 0")
 

@@ -56,6 +56,11 @@ class PrimeField:
         self.backend = spec.bind(p)
         #: The resident representation of 1 (``R mod p`` under Montgomery).
         self.one_value = self.backend.one
+        #: True when field operations are unobserved plain-integer
+        #: arithmetic, so a caller may run them inline on ints: a counting
+        #: subclass must keep seeing every M and A, and a resident backend
+        #: owns the product semantics, so both keep the field methods.
+        self.plain_arithmetic = type(self) is PrimeField and self.backend.plain
         if self.backend.rebind:
             if type(self) is not PrimeField:
                 raise ParameterError(

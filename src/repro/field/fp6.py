@@ -56,12 +56,10 @@ class Fp6Field(ExtensionField):
         super().__init__(
             base, list(FP6_MODULUS), name="Fp6", var="z", check_irreducible=False
         )
-        # The inline fast multiplication is only valid when base-field
-        # operations are unobserved pure *plain-integer* arithmetic; a
-        # subclass (e.g. CountingPrimeField) must keep seeing every M and A,
-        # and a resident backend (Montgomery/word-counting) owns the product
-        # semantics, so both route through the instrumented mul_paper.
-        self._plain_base = type(base) is PrimeField and base.backend.plain
+        # The inline fast multiplication runs only on plain arithmetic
+        # (PrimeField.plain_arithmetic); counting and resident base fields
+        # route through the instrumented mul_paper.
+        self._plain_base = base.plain_arithmetic
         self._frobenius_terms = [
             _signed_permutation(pow(base.p, k, 9)) for k in range(6)
         ]

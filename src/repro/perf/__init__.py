@@ -1,4 +1,4 @@
-"""The performance subsystem: timer, machine-readable emitter, baseline gate.
+"""The performance subsystem: records, machine-readable emitter, baseline gate.
 
 The ROADMAP's serving story needs a measured trajectory, not one-off
 ``.txt`` tables: every benchmark run reports through this layer into a
@@ -36,11 +36,10 @@ from repro.perf.emitter import (
     update_bench,
     write_result,
 )
-from repro.perf.record import SCHEMA_VERSION, PerfRecord, Timer, record_from_batch
+from repro.perf.record import SCHEMA_VERSION, PerfRecord, record_from_batch
 
 __all__ = [
     "SCHEMA_VERSION",
-    "Timer",
     "PerfRecord",
     "record_from_batch",
     "DEFAULT_BENCH_FILENAME",

@@ -1,4 +1,4 @@
-"""Perf records and timing — the measurement vocabulary of ``repro.perf``.
+"""Perf records — the measurement vocabulary of ``repro.perf``.
 
 A :class:`PerfRecord` is one benchmarked ``scheme x operation`` cell: the
 throughput and wall-clock of a batched run, the group-operation tally it
@@ -10,37 +10,13 @@ are JSON-shaped by construction so the emitter can persist them to
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-__all__ = ["SCHEMA_VERSION", "Timer", "PerfRecord", "record_from_batch"]
+__all__ = ["SCHEMA_VERSION", "PerfRecord", "record_from_batch"]
 
 #: Bumped when the on-disk shape of a record changes incompatibly.
 SCHEMA_VERSION = 1
-
-
-class Timer:
-    """A minimal ``perf_counter`` context manager.
-
-    >>> with Timer() as t:
-    ...     do_work()
-    >>> t.seconds  # doctest: +SKIP
-    0.0123
-    """
-
-    __slots__ = ("seconds", "_started")
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._started = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.seconds = time.perf_counter() - self._started
 
 
 @dataclass

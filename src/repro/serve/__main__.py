@@ -126,10 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "reference) and print each count's efficiency next to "
                              "the core count")
     load.add_argument("--mix", default=None, metavar="NAME",
-                      help="drive a seeded traffic-model mix (zipf popularity, "
-                           "bursty arrivals, secure channels) instead of one "
-                           "closed-loop mix per --schemes entry; presets: see "
-                           "repro.traffic.model.MIXES")
+                      help="drive the seeded zipf-bursty traffic-model mix (zipf "
+                           "popularity, bursty arrivals, secure channels) instead "
+                           "of one closed-loop mix per --schemes entry")
     load.add_argument("--seed", type=int, default=0,
                       help="traffic-model seed (default: 0)")
     _add_server_options(load)

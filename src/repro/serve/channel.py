@@ -54,7 +54,7 @@ import hmac
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.audit.annotations import Secret
 from repro.errors import (
@@ -382,6 +382,8 @@ class ChannelTable:
         self.policy = policy or ChannelPolicy()
         self._clock = clock
         self._channels: Dict[Tuple[str, bytes], ServerChannel] = {}
+        #: Channels whose handshake is running: room held by :meth:`claim`.
+        self._claims: Set[Tuple[str, bytes]] = set()
         self._buckets: Dict[str, TokenBucket] = {}
         self._per_client: Dict[str, int] = {}
         self.stats = ChannelTableStats()
@@ -411,27 +413,30 @@ class ChannelTable:
                 f"{self.policy.bucket_refill_per_second:g}/s); retry shortly"
             )
 
+    def claim(self, client: str, channel_id: bytes) -> None:
+        """Hold room for a channel before its handshake runs.
+
+        Raises what :meth:`admit` would — :class:`~repro.errors.QuotaError`
+        at a cap, :class:`~repro.errors.ProtocolError` for an id already
+        open — before the handshake spends a key agreement.  :meth:`admit`
+        takes the room; :meth:`release` gives it back.
+        """
+        self.evict_idle()
+        key = (client, channel_id)
+        self._check_room(key)
+        self._claims.add(key)
+
+    def release(self, client: str, channel_id: bytes) -> None:
+        """Drop a :meth:`claim` (a no-op once :meth:`admit` took it)."""
+        self._claims.discard((client, channel_id))
+
     def admit(
         self, client: str, channel_id: bytes, scheme_name: str, secret: bytes
     ) -> ServerChannel:
         """Open a channel; raises :class:`~repro.errors.QuotaError` at a cap."""
-        self.evict_idle()
         key = (client, channel_id)
-        if key in self._channels:
-            raise ProtocolError(
-                f"channel {channel_id.hex()} is already open on this connection"
-            )
-        if self._per_client.get(client, 0) >= self.policy.max_channels_per_client:
-            self.stats.rejected_quota += 1
-            raise QuotaError(
-                f"client {client} is at its channel cap "
-                f"({self.policy.max_channels_per_client})"
-            )
-        if len(self._channels) >= self.policy.max_channels_total:
-            self.stats.rejected_quota += 1
-            raise QuotaError(
-                f"server is at its channel cap ({self.policy.max_channels_total})"
-            )
+        self.release(client, channel_id)
+        self._check_room(key)
         now = self._clock()
         channel = ServerChannel(
             client=client,
@@ -446,6 +451,24 @@ class ChannelTable:
         self._per_client[client] = self._per_client.get(client, 0) + 1
         self.stats.opened += 1
         return channel
+
+    def _check_room(self, key: Tuple[str, bytes]) -> None:
+        client, channel_id = key
+        if key in self._channels:
+            raise ProtocolError(
+                f"channel {channel_id.hex()} is already open on this connection"
+            )
+        if self._per_client.get(client, 0) >= self.policy.max_channels_per_client:
+            self.stats.rejected_quota += 1
+            raise QuotaError(
+                f"client {client} is at its channel cap "
+                f"({self.policy.max_channels_per_client})"
+            )
+        if len(self._channels) + len(self._claims) >= self.policy.max_channels_total:
+            self.stats.rejected_quota += 1
+            raise QuotaError(
+                f"server is at its channel cap ({self.policy.max_channels_total})"
+            )
 
     def get(self, client: str, channel_id: bytes) -> ServerChannel:
         """The open channel, or :class:`~repro.errors.UnknownChannelError`.
@@ -478,6 +501,15 @@ class ChannelTable:
                 f"{channel.messages_since_rekey} records / "
                 f"{channel.bytes_since_rekey} bytes; rekey before sending more"
             )
+
+    def open_record(self, channel: ServerChannel, record: bytes) -> bytes:
+        """Open the peer's next record; a tampered or replayed one evicts
+        the channel before its error propagates."""
+        try:
+            return channel.crypto.open(record)
+        except (TamperedRecordError, ReplayError):
+            self.evict_hostile(channel.client, channel.crypto.channel_id)
+            raise
 
     def close(self, client: str, channel_id: bytes) -> None:
         if self._remove((client, channel_id)):

@@ -10,8 +10,13 @@ one online session performs exactly the work of one
 :class:`ChannelSession` is the client end of one stateful secure channel
 on such a connection.
 
-The load generator that drives many of these clients at once is
-:func:`repro.traffic.run_traffic`.
+Both ends of the client follow one rule.  A lost connection (worker
+crash, drain, idle close, rolling restart) is replaced in one place,
+:meth:`ServeClient.reconnecting`; a refusal (``OP_OVERLOADED``,
+``ERR_OVER_QUOTA``) is never retried here but raised, with whatever was
+sealed kept for the resend, so the caller retries it in one loop and counts
+it — :func:`repro.traffic.run_traffic`, the load generator that drives many
+of these clients at once, does.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from typing import Optional, Tuple
+from typing import Awaitable, Callable, Optional, Tuple, TypeVar
 
 from repro.audit.annotations import Secret
 from repro.errors import (
@@ -28,12 +33,9 @@ from repro.errors import (
     ProtocolError,
     QuotaError,
     RekeyRequiredError,
-    ReplayError,
     ServeError,
-    TamperedRecordError,
     UnavailableError,
     UnknownChannelError,
-    UnsupportedOperationError,
 )
 from repro.serve import protocol
 from repro.serve.channel import (
@@ -66,14 +68,7 @@ from repro.serve.protocol import (
     OP_VERDICT,
     OP_VERIFY,
     OP_WELCOME,
-    ERR_IDLE_TIMEOUT,
-    ERR_NO_CHANNEL,
-    ERR_OVER_QUOTA,
-    ERR_REKEY_REQUIRED,
-    ERR_REPLAY,
-    ERR_TAMPERED,
-    ERR_UNAVAILABLE,
-    ERR_UNSUPPORTED,
+    REFUSAL_TYPES,
     Frame,
     pack_channel,
     pack_verify,
@@ -92,17 +87,15 @@ __all__ = [
 
 DEFAULT_PAYLOAD = b"served session payload.........."
 
-#: How many times a channel record retries after OP_OVERLOADED.
-OVERLOAD_RETRIES = 200
-#: Pause between overload retries (seconds).
-OVERLOAD_BACKOFF = 0.005
-#: How many times a session survives a dropped or draining connection by
-#: reconnecting (a cluster routes the new connection to a live worker).
-#: Sized to ride out a worker crash-restart: backoff plus the
+#: How many times :meth:`ServeClient.reconnecting` replaces a dropped or
+#: draining connection (a cluster routes the new connection to a live
+#: worker).  Sized to ride out a worker crash-restart: backoff plus the
 #: replacement's spawn-and-import time is a couple of seconds.
 RECONNECT_RETRIES = 20
 #: Initial pause before a reconnect attempt (seconds; doubles to 0.5).
 RECONNECT_BACKOFF = 0.05
+
+T = TypeVar("T")
 
 
 class ServeClient:
@@ -115,6 +108,8 @@ class ServeClient:
         self.scheme_name = ""
         self.server_public = b""
         self.scheme = None  # local registry instance for the client half
+        #: Lost connections :meth:`reconnecting` replaced.
+        self.reconnects = 0
         self._reader: Optional["asyncio.StreamReader"] = None
         self._writer: Optional["asyncio.StreamWriter"] = None
 
@@ -126,19 +121,41 @@ class ServeClient:
         self._reader, self._writer = await asyncio.open_connection(self.host, self.port)
         return self
 
-    async def reconnect(self) -> "ServeClient":
-        """Drop the connection and re-establish it, renegotiating the scheme.
+    async def reconnecting(
+        self, scheme_name: str, attempt: Callable[..., Awaitable[T]], *args
+    ) -> T:
+        """Run ``attempt(*args)`` on a live connection negotiated on
+        ``scheme_name``, connecting and negotiating first if needed.
 
-        The recovery move after a worker crash, drain or restart: cluster
-        workers share one server identity (preset keys), so the fresh
-        ``WELCOME`` matches the cached ``server_public`` and in-progress
-        protocol state on the *client* side stays valid."""
-        scheme_name = self.scheme_name
-        await self.close()
-        await self.connect()
-        if scheme_name:
-            await self.negotiate(scheme_name)
-        return self
+        The one reconnect loop.  A lost connection — a worker crash, drain
+        or idle close, a rolling restart (:class:`UnavailableError`,
+        :class:`ProtocolError`, ``OSError``) — is closed, and after a
+        doubling pause a new one is connected and negotiated and
+        ``attempt`` runs again, at most :data:`RECONNECT_RETRIES` times.
+        Cluster workers share one server identity (preset keys), so the
+        fresh ``WELCOME`` matches the cached ``server_public``.  Refusals
+        and every other error propagate.
+        """
+        delay = RECONNECT_BACKOFF
+        last: Optional[BaseException] = None
+        for _ in range(RECONNECT_RETRIES):
+            try:
+                if not self.connected:
+                    await self.connect()
+                    await self.negotiate(scheme_name)
+                elif self.scheme_name != scheme_name:
+                    await self.negotiate(scheme_name)
+                return await attempt(*args)
+            except (UnavailableError, ProtocolError, OSError) as exc:
+                last = exc
+                await self.close()
+                self.reconnects += 1
+                await asyncio.sleep(delay)
+                delay = min(delay * 2, 0.5)
+        raise ProtocolError(
+            f"no live {scheme_name} connection after {RECONNECT_RETRIES} "
+            f"attempts: {last}"
+        )
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -162,9 +179,10 @@ class ServeClient:
         """One round trip; raises on error frames.
 
         ``OP_OVERLOADED`` raises :class:`~repro.errors.OverloadedError`
-        (retryable), ``OP_ERROR`` raises :class:`~repro.errors.ServeError`
-        (or :class:`UnsupportedOperationError` for a capability gap), and a
-        dropped connection raises :class:`~repro.errors.ProtocolError`.
+        (retryable), ``OP_ERROR`` raises the typed refusal its code names
+        (:data:`~repro.serve.protocol.REFUSAL_TYPES`) or else a plain
+        :class:`~repro.errors.ServeError`, and a dropped connection raises
+        :class:`~repro.errors.ProtocolError`.
         """
         if self._reader is None or self._writer is None:
             raise ParameterError("client is not connected")
@@ -181,25 +199,10 @@ class ServeClient:
             raise OverloadedError(frame.payload.decode("utf-8", "replace"))
         if frame.opcode == OP_ERROR:
             code, detail = parse_error(frame.payload)
-            if code == ERR_UNSUPPORTED:
-                raise UnsupportedOperationError(detail)
-            if code in (ERR_UNAVAILABLE, ERR_IDLE_TIMEOUT):
-                # Draining worker / idle-evicted connection: reconnect — a fresh connection lands on a
-                # live worker — rather than retrying on this one.
-                raise UnavailableError(detail)
-            if code == ERR_OVER_QUOTA:
-                raise QuotaError(detail)
-            if code == ERR_REKEY_REQUIRED:
-                raise RekeyRequiredError(detail)
-            if code == ERR_NO_CHANNEL:
-                raise UnknownChannelError(detail)
-            if code == ERR_REPLAY:
-                raise ReplayError(detail)
-            if code == ERR_TAMPERED:
-                raise TamperedRecordError(detail)
-            raise ServeError(
-                f"{protocol.ERROR_NAMES.get(code, code)}: {detail}"
-            )
+            refusal = REFUSAL_TYPES.get(code)
+            if refusal is not None:
+                raise refusal(detail)
+            raise ServeError(f"{protocol.ERROR_NAMES.get(code, code)}: {detail}")
         return frame
 
     async def negotiate(self, scheme_name: str) -> bytes:
@@ -339,9 +342,10 @@ class ChannelSession:
     budget is spent, reactively on the server's explicit
     ``ERR_REKEY_REQUIRED`` — and survives worker crash/restart/drain by
     reconnecting and opening a *fresh* channel (new id, new handshake),
-    invisible to the caller beyond the :attr:`reopens` counter.  Quota
-    refusals (``ERR_OVER_QUOTA``) are the one surfaced refusal: the caller
-    decides whether to back off and retry.
+    invisible to the caller beyond the :attr:`reopens` counter.  Refusals
+    (``ERR_OVER_QUOTA``, ``OP_OVERLOADED``) are the one thing it surfaces,
+    wherever they hit: the caller retries, and the session resends what it
+    had sealed.
     """
 
     #: Default per-epoch budgets; match the server's ``ChannelPolicy``
@@ -367,6 +371,7 @@ class ChannelSession:
         self.rekey_after_bytes = (
             self.REKEY_AFTER_BYTES if rekey_after_bytes is None else rekey_after_bytes
         )
+        self.scheme_name = ""
         self.channel_id = b""
         self.crypto: Optional[ChannelCrypto] = None
         self.messages = 0
@@ -375,12 +380,16 @@ class ChannelSession:
         self.open_latency = 0.0
         self._messages_since_rekey = 0
         self._bytes_since_rekey = 0
-        #: A sealed record whose quota refusal the caller is retrying:
+        #: Set when the channel died under a send (with its connection, or
+        #: evicted idle); the next attempt opens a fresh one first.  A
+        #: refused open leaves it set, so the caller's retry resumes it.
+        self._lost = False
+        #: A sealed record whose refusal the caller is retrying:
         #: ``(payload, record)``.  Sealing advanced the send sequence, so a
         #: retry of the same payload must resend these exact bytes — a
         #: fresh seal would desynchronise the sequence the server expects.
         self._pending: Optional[Tuple[bytes, bytes]] = None
-        #: Same for a quota-refused rekey: ``(secret, sealed kex record)``.
+        #: Same for a refused rekey: ``(secret, sealed kex record)``.
         self._pending_rekey: Optional[Tuple[bytes, bytes]] = None
 
     def _fresh_channel_id(self) -> bytes:
@@ -408,10 +417,12 @@ class ChannelSession:
             raise ServeError(
                 f"{self.client.scheme_name}: channel confirmation tags disagree"
             )
+        self.scheme_name = self.client.scheme_name
         self.channel_id = channel_id
         self.crypto = ChannelCrypto(
             secret, channel_id, CLIENT_TO_SERVER, SERVER_TO_CLIENT
         )
+        self._lost = False
         self._messages_since_rekey = 0
         self._bytes_since_rekey = 0
         self._pending = None
@@ -419,35 +430,10 @@ class ChannelSession:
         self.open_latency = latency
         return latency
 
-    async def _reopen(self) -> None:
-        """Crash/drain recovery: reconnect, renegotiate, fresh channel.
-
-        Cluster workers share one server identity (preset keys), so the new
-        handshake verifies against the same long-lived public key; server-
-        side channel state died with the old worker, which is why recovery
-        opens a *new* channel instead of resuming the old id."""
-        self.crypto = None
-        delay = RECONNECT_BACKOFF
-        last: Optional[BaseException] = None
-        for _ in range(RECONNECT_RETRIES):
-            try:
-                await self.client.reconnect()
-                await self.open()
-                self.reopens += 1
-                return
-            except (UnavailableError, ProtocolError, OSError, OverloadedError) as exc:
-                last = exc
-                await self.client.close()
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, 0.5)
-        raise ProtocolError(
-            f"could not reopen a {self.client.scheme_name} channel after "
-            f"{RECONNECT_RETRIES} attempts: {last}"
-        )
-
     def _needs_rekey(self, next_bytes: int) -> bool:
         return (
-            self._messages_since_rekey + 1 > self.rekey_after_messages
+            self._pending_rekey is not None  # a refused rekey goes first
+            or self._messages_since_rekey + 1 > self.rekey_after_messages
             or self._bytes_since_rekey + next_bytes > self.rekey_after_bytes
         )
 
@@ -462,7 +448,7 @@ class ChannelSession:
         if self.crypto is None:
             raise ParameterError("channel is not open")
         if self._pending_rekey is not None:
-            secret, record = self._pending_rekey  # resume a quota-refused rekey
+            secret, record = self._pending_rekey  # resume a refused rekey
             self._pending_rekey = None
         else:
             kex, secret = self.client.channel_bootstrap(self.rng)
@@ -497,67 +483,70 @@ class ChannelSession:
     async def send(self, payload: bytes) -> float:
         """One authenticated request/response on the channel; returns latency.
 
-        Absorbs, in order of preference: proactive rekey when this epoch's
-        budget is spent; ``ERR_REKEY_REQUIRED`` (rekey, then retry);
-        ``OP_OVERLOADED`` (backoff, retry — the sealed record is reused so
-        the sequence numbers stay aligned); dropped/draining/idle-evicted
-        connections (reconnect + fresh channel, then reseal).  Quota
-        refusals propagate as :class:`~repro.errors.QuotaError`.
+        Absorbs a proactive rekey when this epoch's budget is spent,
+        ``ERR_REKEY_REQUIRED`` (rekey, then reseal), an evicted channel (a
+        fresh one on this connection) and a dropped, draining or
+        idle-closed connection (a fresh one through
+        :meth:`ServeClient.reconnecting`, then a fresh channel).  Refusals —
+        :class:`~repro.errors.QuotaError` and
+        :class:`~repro.errors.OverloadedError` — propagate whether they hit
+        the record, a rekey or a reopen; the caller retries the same
+        payload, and the session resends what it had sealed.
         """
-        if self.crypto is None:
+        if self.crypto is None and not self._lost:
             raise ParameterError("channel is not open")
-        overloads_left = OVERLOAD_RETRIES
+        return await self.client.reconnecting(self.scheme_name, self._send, payload)
+
+    async def _send(self, payload: bytes) -> float:
+        """:meth:`send` on the current connection."""
         record: Optional[bytes] = None
         if self._pending is not None and self._pending[0] == payload:
-            record = self._pending[1]  # resume a quota-refused send
+            record = self._pending[1]  # resume a refused send
         self._pending = None
+        rekey_required = False
         while True:
             try:
+                if self._lost:
+                    await self.open()
+                    self.reopens += 1
+                    record = None  # fresh channel, fresh keys, fresh sequence
+                assert self.crypto is not None
                 if record is None:
-                    # Inside the try: a proactive rekey's round trip fails
-                    # the same ways a record's does, and must recover the
-                    # same ways (backoff, reopen).
-                    if self._needs_rekey(len(payload)):
+                    if rekey_required or self._needs_rekey(len(payload)):
                         await self.rekey()
+                        rekey_required = False
                     record = self.crypto.seal(payload)
                 started = time.perf_counter()
                 frame = await self.client.request(
                     OP_CHAN_MSG, pack_channel(self.channel_id, record)
                 )
                 latency = time.perf_counter() - started
-            except OverloadedError:
-                if overloads_left == 0:
-                    raise
-                overloads_left -= 1
-                # Retry the *same* sealed record: its sequence number is
-                # the one the server still expects.
-                await asyncio.sleep(OVERLOAD_BACKOFF)
-                continue
+                if frame.opcode != OP_CHAN_REPLY:
+                    raise ProtocolError(f"expected CHAN_REPLY, got {frame.opcode_name}")
+                _, reply_record = parse_channel(frame.payload)
+                reply = self.crypto.open(reply_record)
             except RekeyRequiredError:
                 # The server refused *before* consuming the record, so the
                 # sequence our seal spent is still the one it expects — roll
                 # it back so the rekey's sealed kex lands on that sequence.
+                assert self.crypto is not None
                 self.crypto.send_seq -= 1
-                await self.rekey()
-                record = None  # reseal at the new epoch's sequence 0
+                record, rekey_required = None, True
                 continue
-            except QuotaError:
-                # The server refused before touching its receive sequence;
-                # keep the sealed record so a retry of the same payload
-                # resends the sequence number the server still expects.
-                # (record is None when the refusal hit the proactive rekey,
-                # whose own pending stash covers the resume.)
+            except (QuotaError, OverloadedError):
+                # Refused before the server touched its receive sequence:
+                # keep the sealed record for the retry of this payload.
+                # (None when the refusal hit a rekey or a reopen, whose own
+                # state covers the resume.)
                 if record is not None:
                     self._pending = (payload, record)
                 raise
-            except (UnavailableError, UnknownChannelError, ProtocolError, OSError):
-                await self._reopen()
-                record = None  # fresh channel, fresh keys, fresh sequence
+            except UnknownChannelError:
+                self._lost = True  # evicted idle: a fresh channel here
                 continue
-            if frame.opcode != OP_CHAN_REPLY:
-                raise ProtocolError(f"expected CHAN_REPLY, got {frame.opcode_name}")
-            _, reply_record = parse_channel(frame.payload)
-            reply = self.crypto.open(reply_record)
+            except (UnavailableError, ProtocolError, OSError):
+                self._lost = True  # died (or garbled) with its connection
+                raise
             if not protocol.constant_time_equal(
                 reply, protocol.plaintext_digest(payload)
             ):

@@ -26,6 +26,11 @@ confirms a key agreement with :func:`confirmation_tag` (a hash of the
 shared secret) and a decryption with :func:`plaintext_digest`, which the
 client recomputes locally.
 
+Every typed refusal travels as one ``OP_ERROR`` code, and
+:data:`REFUSAL_CODES` is the one table of them: the server answers a raised
+refusal with its code (:func:`classify_error`), and the client raises the
+same type back (:data:`REFUSAL_TYPES`).
+
 The server and client read frames with :func:`read_frame` on an
 ``asyncio.StreamReader``, and its edge cases (truncation, oversized
 lengths, arbitrary chunking) are tested without sockets by feeding a
@@ -39,9 +44,19 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple, Type
 
-from repro.errors import ProtocolError
+from repro.errors import (
+    ProtocolError,
+    QuotaError,
+    RekeyRequiredError,
+    ReplayError,
+    ReproError,
+    TamperedRecordError,
+    UnavailableError,
+    UnknownChannelError,
+    UnsupportedOperationError,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -91,6 +106,9 @@ __all__ = [
     "ERR_REKEY_REQUIRED",
     "ERR_IDLE_TIMEOUT",
     "ERROR_NAMES",
+    "REFUSAL_CODES",
+    "REFUSAL_TYPES",
+    "classify_error",
     "TAG_LEN",
     "CHANNEL_ID_LEN",
     "confirmation_tag",
@@ -209,6 +227,40 @@ ERROR_NAMES = {
     ERR_REKEY_REQUIRED: "rekey-required",
     ERR_IDLE_TIMEOUT: "idle-timeout",
 }
+
+#: Each typed refusal and the error code that carries it on the wire.
+REFUSAL_CODES: Dict[Type[ReproError], int] = {
+    QuotaError: ERR_OVER_QUOTA,
+    UnavailableError: ERR_UNAVAILABLE,
+    UnknownChannelError: ERR_NO_CHANNEL,
+    ReplayError: ERR_REPLAY,
+    TamperedRecordError: ERR_TAMPERED,
+    RekeyRequiredError: ERR_REKEY_REQUIRED,
+    UnsupportedOperationError: ERR_UNSUPPORTED,
+}
+
+#: The type a client raises for each refusal code.  An idle-timeout close
+#: is, to the client, one more connection to replace.
+REFUSAL_TYPES: Dict[int, Type[ReproError]] = {
+    **{code: refusal for refusal, code in REFUSAL_CODES.items()},
+    ERR_IDLE_TIMEOUT: UnavailableError,
+}
+
+
+def classify_error(exc: BaseException) -> Tuple[int, str]:
+    """The wire error code and detail that answer ``exc``.
+
+    A typed refusal takes its code from :data:`REFUSAL_CODES`.  Any other
+    library error or ``ValueError`` is the client's malformed input (bad
+    point, bad ciphertext, wrong length, a parse failure); anything else
+    is the server's own fault.
+    """
+    for kind in type(exc).__mro__:
+        if kind in REFUSAL_CODES:
+            return REFUSAL_CODES[kind], str(exc)
+    if isinstance(exc, (ReproError, ValueError)):
+        return ERR_BAD_REQUEST, str(exc)
+    return ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
 
 #: Bytes of the key-agreement confirmation tag and plaintext digest.
 TAG_LEN = 16

@@ -5,8 +5,9 @@ RSA decryption would stall every connection for tens of milliseconds.  The
 scheduler is the boundary: connection handlers :meth:`~BatchScheduler.submit`
 decoded requests, and admission counts every accepted request that has no
 answer yet — queued or executing — against ``queue_size``.  Past that count
-``submit`` raises :class:`~repro.errors.OverloadedError` at once (the server
-answers ``OP_OVERLOADED``), so no accepted request waits behind more than
+:meth:`~BatchScheduler.check_admission` (which ``submit`` runs first)
+raises :class:`~repro.errors.OverloadedError` at once (the server answers
+``OP_OVERLOADED``), so no accepted request waits behind more than
 ``queue_size`` others: explicit backpressure, never unbounded buffering.
 
 Accepted requests go through one ``queue.SimpleQueue`` to one long-lived
@@ -37,14 +38,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    OverloadedError,
-    ParameterError,
-    ReproError,
-    UnavailableError,
-    UnsupportedOperationError,
-)
-from repro.serve.protocol import ERR_BAD_REQUEST, ERR_INTERNAL, ERR_UNSUPPORTED
+from repro.errors import OverloadedError, ParameterError, UnavailableError
+from repro.serve.protocol import classify_error
 from repro.serve.session import serve_request, serve_request_batch
 
 __all__ = [
@@ -52,7 +47,6 @@ __all__ = [
     "GroupStats",
     "SchedulerStats",
     "BatchScheduler",
-    "classify_error",
 ]
 
 
@@ -130,18 +124,6 @@ class SchemeHost:
                 with self._lock:
                     self._keys[name] = key
             return key
-
-
-def classify_error(exc: BaseException) -> Tuple[int, str]:
-    """Map an exception from request execution onto a wire error code."""
-    if isinstance(exc, UnsupportedOperationError):
-        return ERR_UNSUPPORTED, str(exc)
-    if isinstance(exc, (ReproError, ValueError)):
-        # Scheme-level rejections of malformed input (bad point, bad
-        # ciphertext, wrong length, protocol parse failures) are the
-        # client's fault, not the server's.
-        return ERR_BAD_REQUEST, str(exc)
-    return ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
 
 
 #: One executed request: ``(ok, opcode-or-error-code, payload bytes)``.
@@ -285,28 +267,34 @@ class BatchScheduler:
         requests.put(None)  # last in: submit() refuses from here on
         await asyncio.get_running_loop().run_in_executor(None, thread.join)
 
-    async def submit(
-        self, scheme_name: str, kind: str, payload: bytes
-    ) -> _BatchItemResult:
-        """Admit one request; await its result.
+    def check_admission(self) -> None:
+        """Raise the refusal a submission would get now, if any.
 
-        Raises :class:`~repro.errors.OverloadedError` *immediately* when
-        ``queue_size`` accepted requests are still unanswered — the
-        connection handler turns that into an ``OP_OVERLOADED`` frame so the
-        client sees explicit backpressure rather than unbounded latency —
-        and :class:`~repro.errors.UnavailableError` once a graceful drain
-        has begun (answered as an explicit ``ERR_UNAVAILABLE`` error frame,
-        so the peer reconnects to a live worker instead of waiting).
+        :class:`~repro.errors.UnavailableError` once a graceful drain has
+        begun (the server answers ``ERR_UNAVAILABLE`` and closes, so the
+        peer reconnects to a live worker instead of waiting), and
+        :class:`~repro.errors.OverloadedError`, counted in
+        ``stats.rejected``, while ``queue_size`` accepted requests are
+        still unanswered (``OP_OVERLOADED``: explicit backpressure rather
+        than unbounded latency).  The server calls this before it does any
+        work for a request and submits with no ``await`` in between, so
+        :meth:`submit`'s own call gives the same answer.
         """
         if self._draining:
             raise UnavailableError("scheduler is draining; reconnect elsewhere")
-        if self._requests is None:
-            raise ParameterError("scheduler is not running")
         if self._pending >= self.queue_size:
             self.stats.rejected += 1
             raise OverloadedError(
                 f"{self._pending} requests pending (limit {self.queue_size})"
             )
+
+    async def submit(
+        self, scheme_name: str, kind: str, payload: bytes
+    ) -> _BatchItemResult:
+        """Admit one request (:meth:`check_admission`); await its result."""
+        self.check_admission()
+        if self._requests is None:
+            raise ParameterError("scheduler is not running")
         future = asyncio.get_running_loop().create_future()
         self._pending += 1
         self.stats.submitted += 1

@@ -16,44 +16,45 @@ Error discipline, per connection:
 * a **version mismatch** or **framing violation** (truncated frame,
   oversized length) answers with ``OP_ERROR`` where possible and closes
   that connection; the server and every other connection keep running;
-* an **application error** (unknown scheme, missing capability, malformed
-  scheme payload) answers with ``OP_ERROR`` and keeps the connection open;
-* a request arriving while ``queue_size`` accepted requests are still
+* every other frame is answered on one path: a typed refusal or an
+  **application error** (unknown scheme, missing capability, malformed
+  scheme payload) answers with its ``OP_ERROR`` code
+  (:data:`~repro.serve.protocol.REFUSAL_CODES`) and keeps the connection
+  open; a request arriving while ``queue_size`` accepted requests are still
   unanswered gets ``OP_OVERLOADED`` at once — the admission bound made
   visible to the peer, so no accepted request waits behind more than
-  ``queue_size`` others.
+  ``queue_size`` others; a draining server answers ``ERR_UNAVAILABLE`` and
+  closes.
+
+**The server refuses before it does any work or changes any state.**  Drain,
+overload, the token bucket and the channel caps are all decided before a
+request reaches the crypto thread and before a channel record is opened, so
+a refused ``CHAN_REKEY`` consumes no sequence number, a ``CHAN_OPEN``
+refused at a cap costs no key agreement, and the client may resend the same
+bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import (
     OverloadedError,
     ParameterError,
     ProtocolError,
-    QuotaError,
-    RekeyRequiredError,
-    ReplayError,
-    TamperedRecordError,
+    ReproError,
     UnavailableError,
-    UnknownChannelError,
+    UnsupportedOperationError,
 )
 from repro.serve import protocol
 from repro.serve.channel import ChannelPolicy, ChannelTable
 from repro.serve.protocol import (
     ERR_IDLE_TIMEOUT,
-    ERR_NO_CHANNEL,
     ERR_NO_SESSION,
-    ERR_OVER_QUOTA,
-    ERR_REKEY_REQUIRED,
-    ERR_REPLAY,
-    ERR_TAMPERED,
     ERR_UNAVAILABLE,
     ERR_UNKNOWN_OPCODE,
     ERR_UNKNOWN_SCHEME,
-    ERR_UNSUPPORTED,
     ERR_VERSION,
     OP_CHAN_ACCEPT,
     OP_CHAN_CLOSE,
@@ -70,6 +71,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     CHANNEL_OPS,
     Frame,
+    classify_error,
     pack_channel,
     pack_error,
     pack_welcome,
@@ -86,6 +88,14 @@ from repro.serve.session import (
 )
 
 __all__ = ["ServeServer"]
+
+#: The opcodes that run a public-key operation on the crypto thread, whose
+#: admission is decided before anything else about the frame.
+_SUBMITTING = frozenset(KIND_BY_OPCODE) | {OP_CHAN_OPEN, OP_CHAN_REKEY}
+
+
+def _error(code: int, detail: str) -> Tuple[int, bytes]:
+    return OP_ERROR, pack_error(code, detail)
 
 
 class ServeServer:
@@ -124,8 +134,8 @@ class ServeServer:
         self._server: Optional["asyncio.base_events.Server"] = None
         self._connection_tasks: set = set()
         self._draining = False
-        #: Requests currently between scheduler submission and the response
-        #: write — what a graceful drain must wait out before closing.
+        #: Frames between being read and being answered — what a graceful
+        #: drain must wait out before closing.
         self._inflight = 0
         self.connections = 0
         self.protocol_errors = 0
@@ -199,11 +209,7 @@ class ServeServer:
     ) -> None:
         peername = writer.get_extra_info("peername")
         self.connections += 1
-        session = ConnectionSession(
-            peer=str(peername),
-            backend=self.scheme_host.backend,
-            client_id=f"{peername}#{self.connections}",
-        )
+        session = ConnectionSession(client_id=f"{peername}#{self.connections}")
         task = asyncio.current_task()
         if task is not None:
             self._connection_tasks.add(task)
@@ -222,7 +228,6 @@ class ServeServer:
                     # frame — never a silent close — and let the ``finally``
                     # below reclaim everything this connection owned.
                     self.idle_closes += 1
-                    session.errors += 1
                     await self._best_effort_error(
                         writer,
                         ERR_IDLE_TIMEOUT,
@@ -233,7 +238,6 @@ class ServeServer:
                     # Framing violation (oversized length, drop mid-frame):
                     # fatal for this connection only.
                     self.protocol_errors += 1
-                    session.errors += 1
                     await self._best_effort_error(
                         writer, protocol.ERR_BAD_REQUEST, str(exc)
                     )
@@ -262,110 +266,101 @@ class ServeServer:
         writer: "asyncio.StreamWriter",
         frame: Frame,
     ) -> bool:
-        """Process one frame; return False when the connection must close."""
-        session.requests += 1
+        """Answer one frame; return False when the connection must close.
+
+        The one answer path: every reply and every refusal is written
+        here.  A typed refusal or malformed payload raised anywhere below
+        answers with its :func:`~repro.serve.protocol.classify_error` code
+        and keeps the connection; overload answers ``OP_OVERLOADED`` and
+        keeps it; a drain refusal answers ``ERR_UNAVAILABLE`` and closes.
+        """
         if frame.version != PROTOCOL_VERSION:
             self.protocol_errors += 1
-            session.errors += 1
             await self._best_effort_error(
                 writer,
                 ERR_VERSION,
                 f"server speaks version {PROTOCOL_VERSION}, got {frame.version}",
             )
             return False  # nothing after a version mismatch can be trusted
-
-        if self._draining:
-            # Stopped accepting: everything already submitted still gets its
-            # response, but new work — handshakes included — is refused with
-            # an explicit frame, never a silently closed connection.
-            session.errors += 1
-            await self._best_effort_error(
-                writer, ERR_UNAVAILABLE, "server is draining; reconnect"
-            )
-            return False
-
-        if frame.opcode == OP_HELLO:
-            return await self._handle_hello(session, writer, frame)
-
-        if frame.opcode in CHANNEL_OPS:
-            return await self._handle_channel_frame(session, writer, frame)
-
-        kind = KIND_BY_OPCODE.get(frame.opcode)
-        if kind is None:
-            session.errors += 1
-            await write_frame(
-                writer,
-                OP_ERROR,
-                pack_error(ERR_UNKNOWN_OPCODE, f"opcode 0x{frame.opcode:02x}"),
-            )
-            return True
-        if not session.negotiated:
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(ERR_NO_SESSION, "HELLO first")
-            )
-            return True
-
-        scheme = self.scheme_host.scheme(session.scheme_name)
-        if CAPABILITY_BY_KIND[kind] not in scheme.capabilities:
-            session.errors += 1
-            await write_frame(
-                writer,
-                OP_ERROR,
-                pack_error(
-                    ERR_UNSUPPORTED, f"{scheme.name} does not implement {kind}"
-                ),
-            )
-            return True
-
         self._inflight += 1
         try:
             try:
-                ok, code, payload = await self.scheduler.submit(
-                    session.scheme_name, kind, frame.payload
-                )
+                opcode, payload = await self._respond(session, frame)
             except OverloadedError as exc:
-                session.errors += 1
-                await write_frame(writer, OP_OVERLOADED, str(exc).encode("utf-8"))
-                return True
+                opcode, payload = OP_OVERLOADED, str(exc).encode("utf-8")
             except UnavailableError as exc:
-                # Graceful drain: the request was *not* accepted; tell the
-                # peer explicitly so it reconnects to a live worker, then
-                # close this connection.
-                session.errors += 1
+                # Not accepted: say so explicitly, so the peer reconnects to
+                # a live worker, then close this connection.
                 await self._best_effort_error(writer, ERR_UNAVAILABLE, str(exc))
                 return False
-            if ok:
-                session.responses += 1
-                await write_frame(writer, code, payload)
-            else:
-                session.errors += 1
-                await write_frame(
-                    writer, OP_ERROR, pack_error(code, payload.decode("utf-8", "replace"))
-                )
+            except ReproError as exc:
+                opcode, payload = OP_ERROR, pack_error(*classify_error(exc))
+            await write_frame(writer, opcode, payload)
             return True
         finally:
             self._inflight -= 1
 
-    async def _handle_hello(
+    async def _respond(
+        self, session: ConnectionSession, frame: Frame
+    ) -> Tuple[int, bytes]:
+        """The ``(opcode, payload)`` that answers one frame; refusals raise.
+
+        Drain and overload are decided before anything else, and each
+        handler decides its own refusals (token bucket, channel caps) before
+        it opens a record or submits work.
+        """
+        if self._draining:
+            # Stopped accepting: everything already submitted still gets its
+            # response, but new work — handshakes included — is refused.
+            raise UnavailableError("server is draining; reconnect")
+        if frame.opcode in _SUBMITTING:
+            self.scheduler.check_admission()
+        if frame.opcode == OP_HELLO:
+            return await self._handle_hello(session, frame)
+        kind = KIND_BY_OPCODE.get(frame.opcode)
+        if kind is None and frame.opcode not in CHANNEL_OPS:
+            return _error(ERR_UNKNOWN_OPCODE, f"opcode 0x{frame.opcode:02x}")
+        if not session.negotiated:
+            return _error(ERR_NO_SESSION, "HELLO first")
+        if kind is None:
+            channel_id, blob = parse_channel(frame.payload)
+            handler = self._CHANNEL_HANDLERS[frame.opcode]
+            return await handler(self, session, channel_id, blob)
+        scheme = self.scheme_host.scheme(session.scheme_name)
+        if CAPABILITY_BY_KIND[kind] not in scheme.capabilities:
+            raise UnsupportedOperationError(f"{scheme.name} does not implement {kind}")
+        return await self._submit(session, kind, frame.payload)
+
+    async def _submit(
         self,
         session: ConnectionSession,
-        writer: "asyncio.StreamWriter",
-        frame: Frame,
-    ) -> bool:
+        kind: str,
+        payload: bytes,
+        reply: Optional[Callable[[bytes], Tuple[int, bytes]]] = None,
+    ) -> Tuple[int, bytes]:
+        """Run one admitted request on the crypto thread; return its answer.
+
+        The one way work reaches the scheduler, for one-shot requests and
+        channel handshakes alike.  ``reply`` turns a handshake's secret into
+        its answer; a request that failed to execute answers its error code.
+        """
+        ok, code, result = await self.scheduler.submit(
+            session.scheme_name, kind, payload
+        )
+        if not ok:
+            return _error(code, result.decode("utf-8", "replace"))
+        return reply(result) if reply is not None else (code, result)
+
+    async def _handle_hello(
+        self, session: ConnectionSession, frame: Frame
+    ) -> Tuple[int, bytes]:
         name = frame.payload.decode("utf-8", errors="replace")
         if not self.scheme_host.allowed(name):
-            session.errors += 1
-            await write_frame(
-                writer,
-                OP_ERROR,
-                pack_error(
-                    ERR_UNKNOWN_SCHEME,
-                    f"unknown scheme {name!r}; serving: "
-                    f"{', '.join(self.scheme_host.scheme_names())}",
-                ),
+            return _error(  # the peer may retry with a served scheme
+                ERR_UNKNOWN_SCHEME,
+                f"unknown scheme {name!r}; serving: "
+                f"{', '.join(self.scheme_host.scheme_names())}",
             )
-            return True  # the peer may retry with a served scheme
         # The long-lived key may not exist yet; creating it is the one
         # potentially slow step of the handshake (e.g. lazy RSA keygen), so
         # it runs in the loop's default executor, not on the loop.
@@ -377,219 +372,88 @@ class ServeServer:
             # Allowlisted but unknown to the registry (a configuration
             # typo): still an explicit error frame, never a dropped
             # connection.
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(ERR_UNKNOWN_SCHEME, str(exc))
-            )
-            return True
+            return _error(ERR_UNKNOWN_SCHEME, str(exc))
         session.scheme_name = name
-        await write_frame(writer, OP_WELCOME, pack_welcome(name, key.public_wire))
-        return True
+        return OP_WELCOME, pack_welcome(name, key.public_wire)
 
     # -- stateful channels --------------------------------------------------------
     #
     # The channel layer's split of labour: the *handshake* (a full public-key
-    # operation) rides the scheduler — concurrent CHAN_OPENs for one scheme
-    # coalesce into the same key_agreement_many batches as one-shot KA_INIT
-    # requests — while *records* (XOR keystream + HMAC tag, microseconds)
-    # execute inline on the loop.  Every refusal is an explicit typed error
-    # frame: quota and admission -> ERR_OVER_QUOTA, exhausted key budget ->
-    # ERR_REKEY_REQUIRED, replay/tamper -> ERR_REPLAY/ERR_TAMPERED (and the
-    # channel is torn down), unknown or idle-evicted id -> ERR_NO_CHANNEL.
-
-    async def _handle_channel_frame(
-        self,
-        session: ConnectionSession,
-        writer: "asyncio.StreamWriter",
-        frame: Frame,
-    ) -> bool:
-        if not session.negotiated:
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(ERR_NO_SESSION, "HELLO first")
-            )
-            return True
-        try:
-            channel_id, blob = parse_channel(frame.payload)
-        except ProtocolError as exc:
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(protocol.ERR_BAD_REQUEST, str(exc))
-            )
-            return True
-        handler = self._CHANNEL_HANDLERS[frame.opcode]
-        try:
-            return await handler(self, session, writer, channel_id, blob)
-        except QuotaError as exc:
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(ERR_OVER_QUOTA, str(exc))
-            )
-            return True
-        except UnknownChannelError as exc:
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(ERR_NO_CHANNEL, str(exc))
-            )
-            return True
-        except RekeyRequiredError as exc:
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(ERR_REKEY_REQUIRED, str(exc))
-            )
-            return True
-        except TamperedRecordError as exc:
-            session.errors += 1
-            self.channels.evict_hostile(session.client_id, channel_id)
-            await write_frame(
-                writer, OP_ERROR, pack_error(ERR_TAMPERED, str(exc))
-            )
-            return True
-        except ReplayError as exc:
-            session.errors += 1
-            self.channels.evict_hostile(session.client_id, channel_id)
-            await write_frame(writer, OP_ERROR, pack_error(ERR_REPLAY, str(exc)))
-            return True
-        except ProtocolError as exc:
-            session.errors += 1
-            await write_frame(
-                writer, OP_ERROR, pack_error(protocol.ERR_BAD_REQUEST, str(exc))
-            )
-            return True
-
-    async def _channel_secret(
-        self,
-        session: ConnectionSession,
-        writer: "asyncio.StreamWriter",
-        kex: bytes,
-    ) -> Optional[bytes]:
-        """Run the handshake's public-key half through the scheduler.
-
-        Returns the raw bootstrap secret, or ``None`` after an error frame
-        has already been written (the caller just returns ``True``).
-        Overload and drain keep their one-shot semantics: an explicit
-        ``OP_OVERLOADED`` / ``ERR_UNAVAILABLE`` frame, never a silent drop.
-        """
-        self._inflight += 1
-        try:
-            try:
-                ok, code, payload = await self.scheduler.submit(
-                    session.scheme_name, CHANNEL_SECRET_KIND, kex
-                )
-            except OverloadedError as exc:
-                session.errors += 1
-                await write_frame(writer, OP_OVERLOADED, str(exc).encode("utf-8"))
-                return None
-            except UnavailableError as exc:
-                session.errors += 1
-                await self._best_effort_error(writer, ERR_UNAVAILABLE, str(exc))
-                return None
-            if not ok:
-                session.errors += 1
-                await write_frame(
-                    writer,
-                    OP_ERROR,
-                    pack_error(code, payload.decode("utf-8", "replace")),
-                )
-                return None
-            return payload
-        finally:
-            self._inflight -= 1
+    # operation) rides the scheduler through _submit — concurrent CHAN_OPENs
+    # for one scheme coalesce into the same key_agreement_many batches as
+    # one-shot KA_INIT requests — while *records* (XOR keystream + HMAC tag,
+    # microseconds) execute inline on the loop.  Each refusal is a typed
+    # error _handle_frame answers; a tampered or replayed record also tears
+    # its channel down (ChannelTable.open_record).
 
     async def _handle_channel_open(
-        self,
-        session: ConnectionSession,
-        writer: "asyncio.StreamWriter",
-        channel_id: bytes,
-        kex: bytes,
-    ) -> bool:
+        self, session: ConnectionSession, channel_id: bytes, kex: bytes
+    ) -> Tuple[int, bytes]:
         scheme = self.scheme_host.scheme(session.scheme_name)
         if not {"key-agreement", "encryption"} & set(scheme.capabilities):
-            session.errors += 1
-            await write_frame(
-                writer,
-                OP_ERROR,
-                pack_error(
-                    ERR_UNSUPPORTED,
-                    f"{scheme.name} can bootstrap no channel (needs "
-                    f"key agreement or encryption)",
-                ),
+            raise UnsupportedOperationError(
+                f"{scheme.name} can bootstrap no channel (needs "
+                f"key agreement or encryption)"
             )
-            return True
-        # Admission control *before* the expensive public-key operation: an
+        client = session.client_id
+
+        def accept(secret: bytes) -> Tuple[int, bytes]:
+            self.channels.admit(client, channel_id, session.scheme_name, secret)
+            return OP_CHAN_ACCEPT, pack_channel(
+                channel_id, protocol.confirmation_tag(secret)
+            )
+
+        # Caps and quota before the expensive public-key operation: an
         # over-quota client must not be able to spend server exponentiations.
-        self.channels.take_token(session.client_id)
-        secret = await self._channel_secret(session, writer, kex)
-        if secret is None:
-            return True
-        self.channels.admit(
-            session.client_id, channel_id, session.scheme_name, secret
-        )
-        session.responses += 1
-        await write_frame(
-            writer,
-            OP_CHAN_ACCEPT,
-            pack_channel(channel_id, protocol.confirmation_tag(secret)),
-        )
-        return True
+        self.channels.claim(client, channel_id)
+        try:
+            self.channels.take_token(client)
+            return await self._submit(session, CHANNEL_SECRET_KIND, kex, accept)
+        finally:
+            self.channels.release(client, channel_id)
 
     async def _handle_channel_msg(
-        self,
-        session: ConnectionSession,
-        writer: "asyncio.StreamWriter",
-        channel_id: bytes,
-        record: bytes,
-    ) -> bool:
+        self, session: ConnectionSession, channel_id: bytes, record: bytes
+    ) -> Tuple[int, bytes]:
         channel = self.channels.get(session.client_id, channel_id)
         self.channels.take_token(session.client_id)
         self.channels.require_key_budget(channel)
-        plaintext = channel.crypto.open(record)
+        plaintext = self.channels.open_record(channel, record)
         channel.record_message(len(plaintext), self.channels.now())
         self.channels.stats.messages += 1
-        session.responses += 1
         reply = channel.crypto.seal(protocol.plaintext_digest(plaintext))
-        await write_frame(writer, OP_CHAN_REPLY, pack_channel(channel_id, reply))
-        return True
+        return OP_CHAN_REPLY, pack_channel(channel_id, reply)
 
     async def _handle_channel_rekey(
-        self,
-        session: ConnectionSession,
-        writer: "asyncio.StreamWriter",
-        channel_id: bytes,
-        record: bytes,
-    ) -> bool:
+        self, session: ConnectionSession, channel_id: bytes, record: bytes
+    ) -> Tuple[int, bytes]:
         channel = self.channels.get(session.client_id, channel_id)
         self.channels.take_token(session.client_id)
         # The fresh key-exchange material arrives *inside* the channel — a
         # sealed record under the current epoch, so only the peer that owns
-        # the channel can rotate its keys.
-        kex = channel.crypto.open(record)
-        secret = await self._channel_secret(session, writer, kex)
-        if secret is None:
-            return True
-        # Acknowledge under the *old* epoch (consuming a send sequence),
-        # then switch: the client opens the ack with the keys it still
-        # holds, checks the confirmation tag, and switches too.
-        ack = channel.crypto.seal(protocol.confirmation_tag(secret))
-        channel.rekeyed(secret, self.channels.now())
-        self.channels.stats.rekeys += 1
-        session.responses += 1
-        await write_frame(writer, OP_CHAN_REKEYED, pack_channel(channel_id, ack))
-        return True
+        # the channel can rotate its keys.  Opening it consumes a receive
+        # sequence number, so it comes after every refusal: a refused rekey
+        # may be resent byte for byte.
+        kex = self.channels.open_record(channel, record)
+
+        def rekeyed(secret: bytes) -> Tuple[int, bytes]:
+            # Acknowledge under the *old* epoch (consuming a send sequence),
+            # then switch: the client opens the ack with the keys it still
+            # holds, checks the confirmation tag, and switches too.
+            ack = channel.crypto.seal(protocol.confirmation_tag(secret))
+            channel.rekeyed(secret, self.channels.now())
+            self.channels.stats.rekeys += 1
+            return OP_CHAN_REKEYED, pack_channel(channel_id, ack)
+
+        return await self._submit(session, CHANNEL_SECRET_KIND, kex, rekeyed)
 
     async def _handle_channel_close(
-        self,
-        session: ConnectionSession,
-        writer: "asyncio.StreamWriter",
-        channel_id: bytes,
-        record: bytes,
-    ) -> bool:
+        self, session: ConnectionSession, channel_id: bytes, record: bytes
+    ) -> Tuple[int, bytes]:
         channel = self.channels.get(session.client_id, channel_id)
-        channel.crypto.open(record)  # authenticated close; empty body
+        self.channels.open_record(channel, record)  # authenticated close; empty body
         self.channels.close(session.client_id, channel_id)
-        session.responses += 1
-        await write_frame(writer, OP_CHAN_CLOSED, pack_channel(channel_id))
-        return True
+        return OP_CHAN_CLOSED, pack_channel(channel_id)
 
     #: Channel opcode -> handler, built once with the class.
     _CHANNEL_HANDLERS = {

@@ -22,8 +22,8 @@ import cycle:
   means the same work online and offline.
 
 :class:`ConnectionSession` is the per-connection state the server keeps:
-which scheme the peer negotiated, and request/error counters for the
-connection's lifetime.
+which scheme the peer negotiated, and the id its channels and quotas are
+keyed by.
 """
 
 from __future__ import annotations
@@ -96,16 +96,11 @@ CHANNEL_SECRET_KIND = "channel-secret"
 class ConnectionSession:
     """Per-connection state on the server."""
 
-    peer: str
-    scheme_name: str = ""
-    backend: str = "plain"
-    requests: int = 0
-    responses: int = 0
-    errors: int = 0
     #: Connection-unique id the server's channel table keys quotas by
-    #: (distinct peers can share a ``peer`` string through NAT or port
-    #: reuse; the server stamps an id of its own).
-    client_id: str = ""
+    #: (distinct peers can share an address through NAT or port reuse; the
+    #: server stamps an id of its own).
+    client_id: str
+    scheme_name: str = ""
 
     @property
     def negotiated(self) -> bool:

@@ -8,7 +8,7 @@ operation, back to back.  Both are *data plus one engine*:
 
 * :mod:`repro.traffic.model` — declarative :class:`~repro.traffic.model.TrafficMix`
   descriptions (scheme popularity, arrival process, operation mix, channel
-  lifetimes), the named presets (``zipf-bursty`` & co.) and the closed-loop
+  lifetimes), the named ``zipf-bursty`` preset and the closed-loop
   :func:`~repro.traffic.model.one_shot_mix`;
 * :mod:`repro.traffic.engine` — :func:`~repro.traffic.engine.run_traffic`,
   which compiles a mix into per-client seeded schedules and drives a live

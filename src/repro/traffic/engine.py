@@ -10,13 +10,20 @@ every client one operation back to back, the closed-loop capacity run.
 
 **Accounting is strict.**  Every engine-level request increments
 ``submitted`` and must end as exactly one of ``responses`` (a verified
-success) or ``explicit_errors`` (a typed error frame the server chose to
-send: quota, overload).  Anything else raises out of the engine — the run
-fails loudly, the counters are asserted equal by callers and tests, and a
-silently dropped request is therefore structurally impossible to miss.
-Recoveries performed under the covers (transparent rekeys; reconnects
-after a worker crash, drain or rolling restart, bounded by
-``RECONNECT_RETRIES``) are surfaced as counters, not hidden.
+success) or ``explicit_errors`` (a refusal the server chose to send: quota,
+overload).  Anything else raises out of the engine — the run fails loudly,
+the counters are asserted equal by callers and tests, and a silently
+dropped request is therefore structurally impossible to miss.
+
+**Every refusal is retried in one loop and counted.**  The client raises
+each refusal wherever it hits — a one-shot request, a channel open, a
+record, a rekey, a reopen — and keeps what it sealed, so
+:func:`_with_refusal_retries` counts it in ``explicit_errors`` (and
+``rejected_quota`` or ``overload_rejections``) and resends.  Recoveries
+performed under the covers (transparent rekeys; reconnects after a worker
+crash, drain or rolling restart, all through
+:meth:`~repro.serve.client.ServeClient.reconnecting`) are surfaced as
+counters, not hidden.
 """
 
 from __future__ import annotations
@@ -27,20 +34,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import (
-    OverloadedError,
-    ParameterError,
-    ProtocolError,
-    QuotaError,
-    UnavailableError,
-)
+from repro.errors import OverloadedError, ParameterError, ProtocolError, QuotaError
 from repro.perf.latency import LatencyHistogram
-from repro.serve.client import (
-    RECONNECT_BACKOFF,
-    RECONNECT_RETRIES,
-    ChannelSession,
-    ServeClient,
-)
+from repro.serve.client import ChannelSession, ServeClient
 from repro.traffic.model import TrafficMix
 
 __all__ = [
@@ -63,8 +59,8 @@ SESSION_METHODS = {
     "signature": "signature_session",
 }
 
-#: How many times one engine-level request retries after an explicit
-#: quota/overload refusal before the run fails.
+#: How many times one engine-level request retries after a refusal before
+#: the run fails.
 REFUSAL_RETRIES = 400
 #: Pause after an explicit refusal (seconds) — long enough for the default
 #: token bucket (512 tokens/s) to refill a few tokens.
@@ -105,16 +101,15 @@ class TrafficReport:
     submitted: int = 0
     #: Verified successes.
     responses: int = 0
-    #: Typed error frames the server chose to send (quota + overload).
+    #: Refusals the server chose to send (quota + overload).
     explicit_errors: int = 0
     rejected_quota: int = 0
     overload_rejections: int = 0
     channels_opened: int = 0
     channel_messages: int = 0
     rekeys: int = 0
-    #: Worker-lifecycle recoveries (crash, drain, rolling restart): each
-    #: reconnect, and for a channel the fresh channel it opened.
-    #: Client-invisible.
+    #: Worker-lifecycle recoveries (crash, drain, rolling restart): lost
+    #: connections replaced.  Client-invisible.
     reopens: int = 0
     oneshots: int = 0
 
@@ -183,46 +178,19 @@ def compile_schedule(
     return planned
 
 
-async def _negotiate(client: ServeClient, scheme: str, report: TrafficReport) -> None:
-    """(Re)connect and (re)negotiate ``scheme``, with bounded backoff.
+async def _with_refusal_retries(report, entry, attempt, *args) -> None:
+    """Run one engine-level request, ``attempt(*args)``; retry every refusal.
 
-    Rides out the dark window of a worker crash-restart or rolling restart:
-    the replacement worker takes backoff plus spawn time to come up, so a
-    failed attempt closes the connection and retries with doubling pauses
-    until one lands on a live worker."""
-    if client.scheme_name == scheme and client.connected:
-        return
-    delay = RECONNECT_BACKOFF
-    last: Optional[BaseException] = None
-    for _ in range(RECONNECT_RETRIES):
-        try:
-            if not client.connected:
-                await client.connect()
-            await client.negotiate(scheme)
-            return
-        except (UnavailableError, ProtocolError, OSError) as exc:
-            last = exc
-            report.reopens += 1
-            await client.close()
-            await asyncio.sleep(delay)
-            delay = min(delay * 2, 0.5)
-    raise ProtocolError(
-        f"could not negotiate {scheme} after {RECONNECT_RETRIES} attempts: {last}"
-    )
-
-
-async def _with_refusal_retries(report, entry, coroutine_factory):
-    """Run one engine-level request; absorb *explicit* refusals by retrying.
-
-    Each attempt is one ``submitted``; a quota/overload refusal is one
-    ``explicit_errors`` (the server answered — nothing was dropped) and the
-    request is retried after a pause.  Success records the latency.  Any
-    other exception propagates: the run must fail loudly on real errors.
+    The one refusal loop.  Each attempt is one ``submitted``; a
+    quota/overload refusal is one ``explicit_errors`` (the server answered
+    — nothing was dropped) and the request is retried after a pause.
+    Success records the latency.  Any other exception propagates: the run
+    must fail loudly on real errors.
     """
     for _ in range(REFUSAL_RETRIES):
         report.submitted += 1
         try:
-            latency = await coroutine_factory()
+            latency = await attempt(*args)
         except QuotaError:
             report.explicit_errors += 1
             report.rejected_quota += 1
@@ -254,34 +222,26 @@ async def _run_channel_session(
 ) -> None:
     """One channel lifetime: open, N records with think time, close."""
     profile = mix.channels
-    session: Optional[ChannelSession] = None
-
-    async def _open() -> float:
-        nonlocal session
-        session = ChannelSession(
-            client, rng=rng, rekey_after_messages=profile.rekey_after_messages
-        )
-        return await session.open()
-
-    await _with_refusal_retries(
-        report, report.entry(planned.scheme, CHANNEL_OPEN), _open
+    session = ChannelSession(
+        client, rng=rng, rekey_after_messages=profile.rekey_after_messages
     )
-    assert session is not None
+    await _with_refusal_retries(
+        report,
+        report.entry(planned.scheme, CHANNEL_OPEN),
+        client.reconnecting,
+        planned.scheme,
+        session.open,
+    )
     report.channels_opened += 1
 
     entry = report.entry(planned.scheme, CHANNEL_MESSAGE)
-    rekeys_before = session.rekeys
-    reopens_before = session.reopens
     for index in range(planned.messages):
         payload = rng.randbytes(profile.payload_bytes)
-        await _with_refusal_retries(
-            report, entry, lambda payload=payload: session.send(payload)
-        )
+        await _with_refusal_retries(report, entry, session.send, payload)
         report.channel_messages += 1
         if profile.think_seconds > 0 and index + 1 < planned.messages:
             await asyncio.sleep(profile.think_seconds)
-    report.rekeys += session.rekeys - rekeys_before
-    report.reopens += session.reopens - reopens_before
+    report.rekeys += session.rekeys
 
     # Close is best-effort bookkeeping, not a measured request: a crash
     # between the last record and the close frame just leaves the channel
@@ -302,25 +262,9 @@ async def _run_oneshot_session(
     entry = report.entry(planned.scheme, planned.kind)
     method = getattr(client, SESSION_METHODS[planned.kind])
     args = (rng,) if planned.kind == "key-agreement" else (payload, rng)
-    reconnects_left = RECONNECT_RETRIES
-
-    async def _once() -> float:
-        nonlocal reconnects_left
-        while True:
-            try:
-                return await method(*args)
-            except (UnavailableError, ProtocolError, OSError):
-                # Worker lifecycle (crash, drain, rolling restart): reconnect
-                # and retry the session on the fresh connection — the
-                # cluster's preset keys keep the renegotiated identity valid.
-                if reconnects_left == 0:
-                    raise
-                reconnects_left -= 1
-                report.reopens += 1
-                await client.close()
-                await _negotiate(client, planned.scheme, report)
-
-    await _with_refusal_retries(report, entry, _once)
+    await _with_refusal_retries(
+        report, entry, client.reconnecting, planned.scheme, method, *args
+    )
     report.oneshots += 1
 
 
@@ -341,7 +285,6 @@ async def _client_loop(
     try:
         burst_left = mix.arrivals.burst_size(rng)
         for planned in schedule:
-            await _negotiate(client, planned.scheme, report)
             if planned.kind == "channel":
                 await _run_channel_session(client, planned, mix, rng, report)
             else:
@@ -353,6 +296,7 @@ async def _client_loop(
                     await asyncio.sleep(gap)
                 burst_left = mix.arrivals.burst_size(rng)
     finally:
+        report.reopens += client.reconnects
         await client.close()
 
 

@@ -191,10 +191,10 @@ class TrafficMix:
 ONESHOT_OPERATIONS = ("key-agreement", "encryption", "signature")
 
 #: The paper's four deployed cryptosystems, most to least popular: the
-#: presets' schemes and ``python -m repro.serve load``'s default.
+#: preset's schemes and ``python -m repro.serve load``'s default.
 HEADLINE_SCHEMES = ("ceilidh-170", "ecdh-p160", "rsa-1024", "xtr-170")
 
-#: The named presets ``python -m repro.serve load --mix`` accepts.
+#: The named preset ``python -m repro.serve load --mix`` accepts.
 MIXES: Dict[str, TrafficMix] = {
     # The flagship: skewed popularity, bursty arrivals, channel-dominated —
     # the service-shaped workload the channel subsystem exists for.  Rekey
@@ -212,38 +212,6 @@ MIXES: Dict[str, TrafficMix] = {
             think_seconds=0.0005,
             rekey_after_messages=16,
         ),
-    ),
-    # Uniform popularity, no bursts: the control workload — same engine,
-    # no skew, for separating the effect of the traffic shape from the
-    # effect of the stack.
-    "uniform-steady": TrafficMix(
-        name="uniform-steady",
-        schemes=HEADLINE_SCHEMES,
-        zipf_exponent=0.0,
-        channel_weight=0.5,
-        arrivals=ArrivalModel(mean_burst=1.0, mean_gap_seconds=0.0),
-        channels=ChannelProfile(mean_messages=16.0, rekey_after_messages=32),
-    ),
-    # Nearly everything rides channels with long lifetimes — the steady-
-    # state regime where handshake cost should vanish into the noise.
-    "channel-heavy": TrafficMix(
-        name="channel-heavy",
-        schemes=HEADLINE_SCHEMES,
-        zipf_exponent=1.0,
-        channel_weight=0.95,
-        arrivals=ArrivalModel(mean_burst=2.0, mean_gap_seconds=0.005),
-        channels=ChannelProfile(
-            mean_messages=64.0, min_messages=8, rekey_after_messages=24
-        ),
-    ),
-    # No channels at all: the one-shot counterpart of zipf-bursty, same
-    # popularity and arrivals.
-    "oneshot-zipf": TrafficMix(
-        name="oneshot-zipf",
-        schemes=HEADLINE_SCHEMES,
-        zipf_exponent=1.0,
-        channel_weight=0.0,
-        arrivals=ArrivalModel(mean_burst=4.0, mean_gap_seconds=0.01),
     ),
 }
 

@@ -68,7 +68,7 @@ class XtrContext:
         self._backend = backend
         self.fp = PrimeField(params.p, check_prime=False, backend=backend)
         self.fp2 = make_fp2(self.fp)
-        if type(self.fp) is PrimeField and self.fp.backend.plain:
+        if self.fp.plain_arithmetic:
             self._steps = _plain_steps(params.p)
         else:
             self._steps = _field_steps(self.fp2)

@@ -11,7 +11,6 @@ from repro.analysis.figures import (
 )
 from repro.analysis.report import paper_vs_measured, render_table
 from repro.analysis.tables import table1, table2, table3
-from repro.torus.params import get_parameters
 
 
 class TestTables:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import textwrap
 
-import pytest
-
 from repro.audit.engine import run_audit
 
 

@@ -17,7 +17,6 @@ from repro.errors import FieldMismatchError, ParameterError
 from repro.field import (
     CountingPrimeField,
     MontgomeryBackend,
-    PlainBackend,
     PrimeField,
     WordCountingBackend,
     get_backend,

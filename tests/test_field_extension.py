@@ -1,7 +1,5 @@
 """Tests for the generic extension field construction."""
 
-import random
-
 import pytest
 
 from repro.errors import FieldMismatchError, ParameterError

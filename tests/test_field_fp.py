@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FieldMismatchError, NotInvertibleError, ParameterError
-from repro.field.fp import FpElement, PrimeField
+from repro.field.fp import PrimeField
 
 
 @pytest.fixture(scope="module")

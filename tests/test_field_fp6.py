@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.field.fp import PrimeField
-from repro.field.fp6 import Fp6Field, make_fp6, split_halves
+from repro.field.fp6 import make_fp6, split_halves
 from repro.field.fp2 import make_fp2
 from repro.field.fp3 import make_fp3
 from repro.field.opcount import CountingPrimeField

@@ -1,7 +1,5 @@
 """Tests for repro.nt.primality."""
 
-import pytest
-
 from repro.nt.primality import SMALL_PRIMES, is_prime, is_probable_prime, next_prime
 
 

@@ -10,7 +10,6 @@ import pytest
 from repro.perf import (
     LatencyHistogram,
     PerfRecord,
-    Timer,
     bench_path,
     compare,
     format_regressions,
@@ -38,13 +37,6 @@ def make_record(scheme="ceilidh-170", operation="key-agreement", ops_per_second=
         projected_cycles=123456,
         meta={"quick": False},
     )
-
-
-class TestTimer:
-    def test_measures_elapsed_time(self):
-        with Timer() as timer:
-            sum(range(1000))
-        assert timer.seconds > 0
 
 
 class TestLatencyHistogram:

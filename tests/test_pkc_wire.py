@@ -18,7 +18,7 @@ from repro.errors import (
     ParameterError,
     ReproError,
 )
-from repro.pkc import ENCRYPTION, KEY_AGREEMENT, SIGNATURE, get_scheme
+from repro.pkc import ENCRYPTION, SIGNATURE, get_scheme
 from repro.pkc.base import kdf, xor_bytes
 
 WIRE_SCHEMES = ["ceilidh-toy32", "ceilidh-170", "xtr-toy32", "rsa-512", "ecdh-p160"]

@@ -1,8 +1,5 @@
 """Property-based tests (hypothesis) for the core algebraic invariants."""
 
-import random
-
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -22,23 +22,38 @@ from repro.errors import (
     OverloadedError,
     ParameterError,
     ProtocolError,
+    QuotaError,
     UnavailableError,
     UnsupportedOperationError,
 )
 from repro.perf import PerfRecord, update_bench
 from repro.pkc.registry import _INSTANCES, get_scheme
 from repro.serve import scheduler as scheduler_module
+from repro.serve.channel import ChannelPolicy
 from repro.serve.client import ServeClient
 from repro.serve.cluster import reuseport_available
-from repro.serve.scheduler import BatchScheduler, SchemeHost, classify_error
+from repro.serve.scheduler import BatchScheduler, SchemeHost
 from repro.serve.server import ServeServer
 from repro.serve.session import serve_request
 from repro.serve.protocol import (
+    ERR_UNAVAILABLE,
+    OP_CHAN_OPEN,
+    OP_ERROR,
+    OP_HELLO,
     OP_KA_CONFIRM,
+    OP_KA_INIT,
+    OP_OVERLOADED,
     OP_SIGNATURE,
+    REFUSAL_CODES,
+    classify_error,
     confirmation_tag,
+    encode_frame,
+    pack_channel,
+    parse_error,
+    read_frame,
 )
 from repro.traffic import one_shot_mix, run_traffic
+from repro.traffic.model import ArrivalModel, ChannelProfile, TrafficMix
 
 
 #: ``load --cluster`` workers share their port through ``SO_REUSEPORT``.
@@ -435,6 +450,219 @@ class TestScheduler:
         assert classify_error(UnsupportedOperationError("x"))[0] == ERR_UNSUPPORTED
         assert classify_error(ParameterError("x"))[0] == ERR_BAD_REQUEST
         assert classify_error(RuntimeError("x"))[0] == ERR_INTERNAL
+
+
+def _ka_init_or_chan_open(opcode: int) -> bytes:
+    """A well-formed ceilidh-toy32 KA_INIT or CHAN_OPEN payload."""
+    public = get_scheme("ceilidh-toy32").keygen(random.Random(14)).public_wire
+    return public if opcode == OP_KA_INIT else pack_channel(b"\x07" * 8, public)
+
+
+async def _raw_exchange(host, port, opcode, payload):
+    """HELLO then one frame on a raw connection: ``(reply, reader, writer)``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(encode_frame(OP_HELLO, b"ceilidh-toy32"))
+    await read_frame(reader)
+    writer.write(encode_frame(opcode, payload))
+    return await read_frame(reader), reader, writer
+
+
+class TestOneRefusalPath:
+    """Every refusal is decided before any work or state change, answered
+    on one path, and retried by the client in one counted loop."""
+
+    def test_rekey_refused_for_overload_consumes_no_sequence(self, monkeypatch):
+        """With the crypto thread held and ``queue_size`` 1 filled, a
+        CHAN_REKEY is answered OP_OVERLOADED before its sealed record is
+        opened: the same session's retried rekey lands, a record
+        round-trips after it, and no channel is evicted as hostile."""
+
+        async def scenario():
+            server = _server(queue_size=1)
+            await server.start()
+            host, port = server.address
+            owner, filler = ServeClient(host, port), ServeClient(host, port)
+            held_crypto_thread = None
+            try:
+                for client in (owner, filler):
+                    await client.connect()
+                    await client.negotiate("ceilidh-toy32")
+                channel = await owner.open_channel(rng=random.Random(12))
+                held_crypto_thread = _HeldCryptoThread(monkeypatch)
+                held = asyncio.ensure_future(
+                    filler.key_agreement_session(random.Random(13))
+                )
+                await held_crypto_thread.entered()
+                with pytest.raises(OverloadedError):
+                    await channel.rekey()
+                held_crypto_thread.release()
+                await held
+                await channel.rekey()
+                await channel.send(b"after the refused rekey")
+                return channel, server.channels.stats, server.scheduler.stats
+            finally:
+                if held_crypto_thread is not None:
+                    held_crypto_thread.release()
+                for client in (owner, filler):
+                    await client.close()
+                await server.stop()
+
+        channel, channels, scheduler = run(scenario())
+        assert (channel.rekeys, channel.messages) == (1, 1)
+        assert channel.crypto.epoch == 1
+        assert channels.evicted_hostile == 0
+        assert channels.rekeys == 1
+        assert scheduler.rejected == 1
+
+    def test_open_refused_at_channel_cap_costs_no_key_agreement(self):
+        async def scenario():
+            policy = ChannelPolicy(max_channels_per_client=1)
+            async with _server(channel_policy=policy) as server:
+                host, port = server.address
+                async with ServeClient(host, port) as client:
+                    await client.negotiate("ceilidh-toy32")
+                    await client.open_channel(rng=random.Random(15))
+                    before = server.scheduler.stats.submitted
+                    with pytest.raises(QuotaError):  # ERR_OVER_QUOTA
+                        await client.open_channel(rng=random.Random(16))
+                    return before, server.scheduler.stats.submitted, server.channels
+        before, after, channels = run(scenario())
+        assert after == before
+        assert channels.stats.rejected_quota == 1
+
+    @pytest.mark.parametrize(
+        "opcode", [OP_KA_INIT, OP_CHAN_OPEN], ids=["KA_INIT", "CHAN_OPEN"]
+    )
+    def test_overload_answers_overloaded_and_keeps_the_connection(
+        self, opcode, held_crypto_thread
+    ):
+        async def scenario():
+            server = _server(queue_size=1)
+            await server.start()
+            host, port = server.address
+            filler = ServeClient(host, port)
+            writer = None
+            try:
+                await filler.connect()
+                await filler.negotiate("ceilidh-toy32")
+                held = asyncio.ensure_future(
+                    filler.key_agreement_session(random.Random(17))
+                )
+                await held_crypto_thread.entered()
+                payload = _ka_init_or_chan_open(opcode)
+                refusal, reader, writer = await _raw_exchange(
+                    host, port, opcode, payload
+                )
+                held_crypto_thread.release()
+                await held
+                # The refused connection is still open: the resend lands.
+                writer.write(encode_frame(opcode, payload))
+                return refusal, await read_frame(reader), server.scheduler.stats
+            finally:
+                held_crypto_thread.release()
+                if writer is not None:
+                    writer.close()
+                await filler.close()
+                await server.stop()
+
+        refusal, retried, stats = run(scenario())
+        assert refusal.opcode == OP_OVERLOADED
+        assert retried is not None and retried.opcode not in (OP_ERROR, OP_OVERLOADED)
+        assert stats.rejected == 1
+
+    @pytest.mark.parametrize(
+        "opcode", [OP_KA_INIT, OP_CHAN_OPEN], ids=["KA_INIT", "CHAN_OPEN"]
+    )
+    def test_scheduler_unavailable_answers_and_closes_the_connection(self, opcode):
+        async def scenario():
+            async with _server() as server:
+                host, port = server.address
+                server.scheduler._draining = True  # the scheduler refuses
+                refusal, reader, writer = await _raw_exchange(
+                    host, port, opcode, _ka_init_or_chan_open(opcode)
+                )
+                closed = await read_frame(reader)
+                writer.close()
+                server.scheduler._draining = False
+                return refusal, closed, server.scheduler.stats
+
+        refusal, closed, stats = run(scenario())
+        assert refusal.opcode == OP_ERROR
+        assert parse_error(refusal.payload)[0] == ERR_UNAVAILABLE
+        assert closed is None  # EOF: the server closed the connection
+        assert stats.submitted == 0
+
+    @pytest.mark.parametrize("site", ["event-loop", "crypto-thread"])
+    @pytest.mark.parametrize(
+        "refusal", list(REFUSAL_CODES), ids=lambda refusal: refusal.__name__
+    )
+    def test_every_refusal_round_trips_to_the_same_client_type(
+        self, refusal, site, monkeypatch
+    ):
+        """A refusal raised on the server, on the loop before admission or
+        on the crypto thread mid-request, reaches the client as its code
+        and is raised there as the same type."""
+        def raise_refusal(*args):
+            raise refusal(f"{refusal.__name__} probe")
+
+        if site == "event-loop":
+            monkeypatch.setattr(BatchScheduler, "check_admission", raise_refusal)
+        else:
+            monkeypatch.setattr(scheduler_module, "_execute_batch", raise_refusal)
+
+        async def scenario():
+            async with _server() as server:
+                host, port = server.address
+                async with ServeClient(host, port) as client:
+                    await client.negotiate("ceilidh-toy32")
+                    with pytest.raises(refusal, match="probe"):
+                        await client.key_agreement_session(random.Random(18))
+
+        run(scenario())
+
+    def test_traffic_counts_and_retries_a_refused_rekey(self, monkeypatch):
+        """In a run_traffic run whose one channel's first rekey is refused
+        for overload, the refusal is counted like any other and resent."""
+        mix = TrafficMix(
+            name="one-channel",
+            schemes=("ceilidh-toy32",),
+            channel_weight=1.0,
+            arrivals=ArrivalModel(mean_burst=1.0, mean_gap_seconds=0.0),
+            channels=ChannelProfile(
+                mean_messages=4.0, min_messages=4, rekey_after_messages=2
+            ),
+        )
+        check_admission = BatchScheduler.check_admission
+        refused = []
+
+        async def scenario():
+            async with _server() as server:
+                channels = server.channels.stats
+
+                def refuse_first_rekey(scheduler):
+                    # The only submission after the open and before any
+                    # rekey is the channel's first CHAN_REKEY.
+                    if channels.opened == 1 and channels.rekeys == 0 and not refused:
+                        refused.append(scheduler.stats.submitted)
+                        scheduler.stats.rejected += 1
+                        raise OverloadedError("refused once")
+                    check_admission(scheduler)
+
+                monkeypatch.setattr(BatchScheduler, "check_admission", refuse_first_rekey)
+                host, port = server.address
+                report = await asyncio.wait_for(
+                    run_traffic(host, port, mix, clients=1, sessions_per_client=1),
+                    timeout=60,
+                )
+                return report, channels
+
+        report, channels = run(scenario())
+        assert refused == [1]  # after the open's one submission
+        assert report.overload_rejections == report.explicit_errors == 1
+        assert report.submitted == report.responses + report.explicit_errors
+        assert report.channel_messages == 4
+        assert report.rekeys == channels.rekeys >= 1
+        assert channels.evicted_hostile == 0
 
 
 class TestGracefulDrain:

@@ -192,6 +192,21 @@ class TestChannelTable:
             table.admit("b", b"B" * 8, "ceilidh-toy32", b"s")  # total cap of 3
         assert table.stats.rejected_quota == 2
 
+    def test_claims_hold_room_until_admitted_or_released(self):
+        """A handshake in flight holds its room against the total cap, so
+        the cap refuses before a second handshake spends a key agreement."""
+        table = self._table(FakeClock())
+        table.admit("a", b"A" * 8, "ceilidh-toy32", b"s")
+        table.claim("a", b"B" * 8)
+        table.claim("b", b"A" * 8)  # total cap of 3 now fully held
+        with pytest.raises(QuotaError):
+            table.claim("c", b"A" * 8)
+        table.release("b", b"A" * 8)
+        table.admit("a", b"B" * 8, "ceilidh-toy32", b"s")  # takes its claim
+        table.release("a", b"B" * 8)  # no-op once admitted
+        table.admit("c", b"A" * 8, "ceilidh-toy32", b"s")
+        assert len(table) == 3 and table.stats.rejected_quota == 1
+
     def test_duplicate_open_is_a_protocol_error(self):
         table = self._table(FakeClock())
         table.admit("a", b"A" * 8, "ceilidh-toy32", b"s")

@@ -16,7 +16,7 @@ import struct
 
 import pytest
 
-from repro.errors import OverloadedError, ProtocolError, ServeError
+from repro.errors import ProtocolError, ServeError
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (

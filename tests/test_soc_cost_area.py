@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.errors import ParameterError
 from repro.soc.area import AreaModel
-from repro.soc.cost import CostModel, ModularOpCosts, PAPER_TABLE1
+from repro.soc.cost import CostModel, PAPER_TABLE1
 from repro.soc.level2 import Level2Program, ModOpKind
 from repro.soc.microblaze import MicroBlazeInterfaceModel
 from repro.soc.sequences import fp6_multiplication_program

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AssemblyError, MemoryMapError, ParameterError
-from repro.soc.isa import Instruction, Op, addc, cla, ld, mac, sha, st, subb
+from repro.soc.isa import Instruction, Op, addc, cla, ld, mac, st, subb
 from repro.soc.memory import DataRam, InstructionRom, MemoryAllocator
 
 

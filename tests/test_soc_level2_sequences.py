@@ -6,7 +6,7 @@ from repro.errors import ParameterError
 from repro.field.fp import PrimeField
 from repro.field.fp6 import make_fp6
 from repro.montgomery.domain import MontgomeryDomain
-from repro.soc.level2 import Level2Program, ModOpKind, SoftwareBackend
+from repro.soc.level2 import Level2Program, SoftwareBackend
 from repro.soc.sequences import (
     ecc_point_addition_program,
     ecc_point_doubling_program,
@@ -16,7 +16,6 @@ from repro.soc.sequences import (
     lazy_mode_headroom_ok,
     run_fp6_multiplication,
 )
-from repro.torus.params import get_parameters
 
 
 class TestLevel2Ir:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ParameterError
-from repro.soc.coprocessor import CoprocessorConfig
 from repro.soc.engine import ModularEngine
 from repro.torus.params import get_parameters
 

@@ -9,7 +9,7 @@ from repro.field.fp import PrimeField
 from repro.field.fp6 import make_fp6
 from repro.soc.sequences import fp6_multiplication_program
 from repro.soc.system import OperationTiming, Platform, PlatformConfig, default_rsa_modulus
-from repro.torus.params import CEILIDH_170, get_parameters
+from repro.torus.params import CEILIDH_170
 
 
 class TestDefaults:

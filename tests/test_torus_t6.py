@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NotInTorusError, ParameterError
-from repro.torus.t6 import T6Group, TorusElement
+from repro.torus.t6 import TorusElement
 
 
 class TestMembership:

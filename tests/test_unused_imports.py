@@ -1,4 +1,4 @@
-"""Every import in ``src/repro`` is used.
+"""Every import in ``src/repro``, ``tests``, ``benchmarks`` and ``examples`` is used.
 
 An AST scan of each module: a name bound by ``import`` or ``from ...
 import`` must be read somewhere in the module, in code, in an annotation
@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List, Set
+from typing import Dict, Iterator, List, Set
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 def _annotation_names(node: ast.AST) -> Iterator[str]:
@@ -71,12 +74,21 @@ def test_the_scan_sees_code_annotations_and_all():
     assert unused_imports(source) == ["line 1: List", "line 3: b", "line 3: d"]
 
 
-def test_no_module_in_src_imports_a_name_it_never_uses():
-    modules = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
+def _unused_in(tree: Path) -> Dict[str, List[str]]:
+    """Each module under ``tree`` with the names it imports and never reads."""
+    modules = sorted(path for path in tree.rglob("*.py") if path.name != "__init__.py")
     assert modules
-    found = {
-        str(path.relative_to(SRC)): names
+    return {
+        str(path.relative_to(tree)): names
         for path in modules
         if (names := unused_imports(path.read_text()))
     }
-    assert found == {}
+
+
+def test_no_module_in_src_imports_a_name_it_never_uses():
+    assert _unused_in(SRC) == {}
+
+
+@pytest.mark.parametrize("tree", ["tests", "benchmarks", "examples"])
+def test_no_test_benchmark_or_example_imports_a_name_it_never_uses(tree):
+    assert _unused_in(ROOT / tree) == {}
